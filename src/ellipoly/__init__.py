@@ -62,7 +62,6 @@ from .norms import (
     log_monic_norm,
     monic_factor,
     monic_norm,
-    orthonormal_factor,
 )
 from .polynomials import (
     CoefficientVector,
@@ -94,6 +93,7 @@ from .quadrature import (
     inner_product,
     lp_norm,
     moment,
+    moment_table,
 )
 from .selberg import (
     SelbergResult,

@@ -56,8 +56,17 @@ def to_jsonable(obj):
 
 
 def dumps(payload: dict) -> str:
-    """Canonical JSON text: sorted keys, two-space indent, trailing newline."""
-    return json.dumps(to_jsonable(payload), sort_keys=True, indent=2) + "\n"
+    """Canonical JSON text: sorted keys, two-space indent, trailing newline.
+
+    Raises ValueError when the payload holds a NaN or an infinity, which
+    JSON cannot represent.
+    """
+    try:
+        text = json.dumps(to_jsonable(payload), sort_keys=True, indent=2,
+                          allow_nan=False)
+    except ValueError as exc:
+        raise ValueError(f"result is not finite ({exc})") from None
+    return text + "\n"
 
 
 def write_csv(header: list[str], rows: list[tuple]) -> str:

@@ -247,7 +247,9 @@ def hessenberg(basis, nmax: int, strategy: str = "auto",
         raise TypeError(f"unsupported basis {type(basis).__name__}")
 
     zP = nodes[None, :] * P[:nmax]
-    entries = np.einsum("k,lk,nk->ln", weights, P.conj(), zP)
+    np.conjugate(P, out=P)
+    P *= weights
+    entries = P @ zP.T
     return HessenbergMatrix(basis_label=label, nmax=nmax, entries=entries,
                             strategy="quadrature")
 

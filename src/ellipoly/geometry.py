@@ -74,6 +74,8 @@ def make_params(a: float, b: float) -> EllipseParams:
     """Validate semi-axes and assemble an EllipseParams record."""
     a = float(a)
     b = float(b)
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(f"semi-axes must be finite, got a={a}, b={b}")
     if not (a > b > 0.0):
         raise ValueError(f"ellipse requires a > b > 0, got a={a}, b={b}")
     c = math.sqrt(a * a - b * b)

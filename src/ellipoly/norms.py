@@ -34,7 +34,13 @@ from .polynomials import (
     gegenbauer_norm,
     lnpoch,
 )
-from .quadrature import DEFAULT_N_ANGULAR, DEFAULT_N_RADIAL, QuadratureRule, build_rule
+from .quadrature import (
+    DEFAULT_N_ANGULAR,
+    DEFAULT_N_RADIAL,
+    QuadratureRule,
+    build_rule,
+    moment_table,
+)
 
 __all__ = [
     "GramResult",
@@ -43,7 +49,6 @@ __all__ = [
     "gram_matrix",
     "gram_schmidt",
     "monic_factor",
-    "orthonormal_factor",
     "log_monic_norm",
     "monic_norm",
 ]
@@ -195,7 +200,8 @@ def gram_matrix(family: PolynomialFamily, measure: Measure, nmax: int,
         raise ValueError("rule was built for a different measure")
     p = measure.params
     vals = family_matrix(family, nmax, rule.nodes / p.c)
-    G = np.einsum("k,ik,jk->ij", rule.weights, vals, vals.conj())
+    weighted = vals * rule.weights
+    G = weighted @ np.conjugate(vals, out=vals).T
     G = 0.5 * (G + G.conj().T)
     diag = np.diag(G).real.copy()
     off = G - np.diag(np.diag(G))
@@ -228,9 +234,7 @@ def gram_schmidt(measure: Measure, nmax: int,
     """
     if rule is None:
         rule = build_rule(measure)
-    z = rule.nodes
-    P = z[None, :] ** np.arange(nmax + 1)[:, None]
-    M = np.einsum("k,ik,jk->ij", rule.weights, P, P.conj())
+    M = moment_table(nmax, rule)
     M = 0.5 * (M + M.conj().T)
     d = np.sqrt(np.diag(M).real)
     if not np.all(d > 0.0):
@@ -267,11 +271,6 @@ def monic_factor(alpha: float, p: EllipseParams, n: int) -> float:
     if n < 0:
         raise ValueError("degree must be nonnegative")
     return math.exp(math.lgamma(n + 1) + n * math.log(p.c / 2.0) - lnpoch(1.0 + alpha, n))
-
-
-def orthonormal_factor(alpha: float, p: EllipseParams, n: int) -> float:
-    """Factor turning C_n^{(1+alpha)}(z/c) into the unit-norm polynomial."""
-    return 1.0 / math.sqrt(gegenbauer_norm(alpha, p, n))
 
 
 def log_monic_norm(alpha: float, p: EllipseParams, n: int,

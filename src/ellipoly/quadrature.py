@@ -33,6 +33,7 @@ __all__ = [
     "build_rule",
     "inner_product",
     "moment",
+    "moment_table",
     "lp_norm",
     "contour_check",
 ]
@@ -186,6 +187,31 @@ def moment(p_exp: int, q_exp: int, rule: QuadratureRule) -> complex:
         zq = zq * rule.nodes
     terms = rule.weights * zp * np.conj(zq)
     return complex(math.fsum(terms.real), math.fsum(terms.imag))
+
+
+def moment_table(pmax: int, rule: QuadratureRule) -> np.ndarray:
+    """Every moment <z^p, z^q> with p, q <= pmax as one (pmax+1)^2 array,
+    entry [p, q] matching moment(p, q, rule).
+
+    Powers are built by repeated multiplication, as in moment().  The even-
+    and odd-indexed nodes are contracted separately, each as one weighted
+    matrix product, and the two tables are added.  On the rules that
+    interleave exact antipodes (z, -z) the two products carry the same terms
+    up to the sign (-1)^(p+q), so odd-parity moments cancel to exactly zero;
+    on any other rule the split only changes the summation order.
+    """
+    if pmax < 0:
+        raise ValueError("moment exponents must be nonnegative")
+    M = np.zeros((pmax + 1, pmax + 1), dtype=complex)
+    for half in (slice(0, None, 2), slice(1, None, 2)):
+        z = rule.nodes[half]
+        P = np.empty((pmax + 1, z.size), dtype=complex)
+        P[0] = 1.0
+        for k in range(pmax):
+            P[k + 1] = P[k] * z
+        Pw = P * rule.weights[half]
+        M += Pw @ np.conjugate(P, out=P).T
+    return M
 
 
 def lp_norm(f, p_exp: float, rule: QuadratureRule) -> float:

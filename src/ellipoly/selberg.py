@@ -14,14 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import EllipseParams, area_measure
-from .norms import log_monic_norm, monic_norm
+from .norms import log_monic_norm
 from .polynomials import eval_terminating_2f1
 from .quadrature import build_rule
 
 __all__ = [
     "SelbergResult",
-    "monic_norm",
-    "log_monic_norm",
     "selberg_product",
     "selberg_closed",
     "selberg_direct",

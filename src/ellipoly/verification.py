@@ -35,7 +35,7 @@ from .polynomials import (
     jacobi_half,
     legendre,
 )
-from .quadrature import build_rule, contour_check, moment
+from .quadrature import build_rule, contour_check, moment_table
 from .selberg import selberg_compare, selberg_direct
 
 __all__ = ["CheckResult", "run_all", "CHECKS"]
@@ -179,26 +179,28 @@ def check_moment_relations() -> CheckResult:
     (s = p+q) to 1e-12 for even s <= 20; odd moments vanish to 1e-13; and
     the coefficient ratio kappa^n_j(alpha)/kappa^n_j(0) =
     Gamma(a+1+(n+j)/2)/(Gamma(a+1)Gamma(1+(n+j)/2)) to 1e-11 for n <= 12."""
-    rule0 = build_rule(canonical_measure(gegenbauer(0.0), P21))
     pmax = 20
-    m0 = {(i, j): moment(i, j, rule0)
-          for i in range(pmax + 1) for j in range(pmax + 1 - i)}
 
+    def table(alpha: float) -> list[list[complex]]:
+        rule = build_rule(canonical_measure(gegenbauer(alpha), P21))
+        return moment_table(pmax, rule).tolist()
+
+    m0 = table(0.0)
     worst_scaling = 0.0
     worst_parity = 0.0
     for alpha in (-0.5, 1.0, 2.5):
-        rule = build_rule(canonical_measure(gegenbauer(alpha), P21))
+        m = table(alpha)
         for p_exp in range(pmax + 1):
             for q_exp in range(pmax + 1 - p_exp):
                 s = p_exp + q_exp
-                ma = moment(p_exp, q_exp, rule)
+                ma = m[p_exp][q_exp]
                 if s % 2 == 1:
                     worst_parity = max(worst_parity, abs(ma),
-                                       abs(m0[p_exp, q_exp]))
+                                       abs(m0[p_exp][q_exp]))
                     continue
                 law = math.exp(math.lgamma(2.0 + alpha) + math.lgamma(2.0 + s / 2)
                                - math.lgamma(2.0 + alpha + s / 2))
-                ratio = ma / m0[p_exp, q_exp]
+                ratio = ma / m0[p_exp][q_exp]
                 worst_scaling = max(worst_scaling, abs(ratio - law) / law)
 
     worst_coeff = 0.0

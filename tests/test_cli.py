@@ -88,6 +88,15 @@ def test_selberg_direct_routes():
     assert abs(doc["direct_value"] - 2.5) < 1e-9
 
 
+def test_nonfinite_result_exits_one():
+    """A NaN or infinity is not JSON: the command fails instead of printing it."""
+    p = run_cli("selberg", "--alpha", "0", "--a", "2", "--b", "1", "--N", "2000")
+    assert p.returncode == 1
+    assert p.stdout == ""
+    assert "not finite" in p.stderr
+    assert "Traceback" not in p.stderr
+
+
 def test_hessenberg_bandwidth():
     p = run_cli("hessenberg", "--basis", "gegenbauer", "--alpha", "1",
                 "--a", "2", "--b", "1", "--nmax", "8")

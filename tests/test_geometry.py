@@ -36,6 +36,13 @@ def test_degenerate_axes_rejected(a, b):
         make_params(a, b)
 
 
+@pytest.mark.parametrize("a,b", [(math.inf, 1.0), (2.0, math.nan),
+                                 (math.nan, 1.0), (math.inf, math.inf)])
+def test_nonfinite_axes_rejected(a, b):
+    with pytest.raises(ValueError, match="finite"):
+        make_params(a, b)
+
+
 def test_ellipse_h_center_and_boundary(p21):
     assert ellipse_h(p21, 0j) == 0.0
     theta = np.linspace(0.0, 2 * math.pi, 17)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ellipoly import (
+    GegenbauerBasis,
     area_measure,
     build_rule,
     canonical_measure,
@@ -21,13 +22,15 @@ from ellipoly import (
     gegenbauer_norm,
     gram_matrix,
     gram_schmidt,
+    hessenberg,
     jacobi_half,
     legendre,
     log_monic_norm,
     make_params,
     monic_norm,
+    orthonormal_values,
 )
-from ellipoly.polynomials import CoefficientVector
+from ellipoly.polynomials import CoefficientVector, family_matrix
 
 
 def test_gegenbauer_norm_anchor(p21):
@@ -143,3 +146,26 @@ def test_gram_matrix_records_rule_and_errors(p21):
 def test_closed_norm_rejects_bad_degree(p21):
     with pytest.raises(ValueError):
         closed_norm(gegenbauer(0.0), p21, -1)
+
+
+def test_gram_matrix_matches_einsum_reference(p21):
+    fam = gegenbauer(0.4)
+    measure = canonical_measure(fam, p21)
+    rule = build_rule(measure, n_radial=12, n_angular=32)
+    vals = family_matrix(fam, 9, rule.nodes / p21.c)
+    ref = np.einsum("k,ik,jk->ij", rule.weights, vals, vals.conj())
+    ref = 0.5 * (ref + ref.conj().T)
+    G = gram_matrix(fam, measure, 9, rule=rule).matrix
+    assert np.max(np.abs(G - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_quadrature_hessenberg_matches_einsum_reference(p21):
+    alpha, nmax = 0.4, 9
+    rule = build_rule(area_measure(p21, alpha), n_radial=12, n_angular=32)
+    P = orthonormal_values(alpha, p21, nmax, rule.nodes)
+    ref = np.einsum("k,lk,nk->ln", rule.weights, P.conj(),
+                    rule.nodes[None, :] * P[:nmax])
+    H = hessenberg(GegenbauerBasis(alpha, p21), nmax, strategy="quadrature",
+                   n_radial=12, n_angular=32).entries
+    assert H.shape == (nmax + 1, nmax)
+    assert np.max(np.abs(H - ref)) <= 1e-14 * np.max(np.abs(ref))

@@ -20,6 +20,7 @@ from ellipoly import (
     lp_norm,
     make_params,
     moment,
+    moment_table,
 )
 
 
@@ -62,6 +63,40 @@ def test_odd_moments_vanish_exactly(p21):
     rule = build_rule(area_measure(p21, 1.3))
     for (pq) in ((1, 0), (2, 1), (5, 0), (7, 4), (9, 8)):
         assert moment(*pq, rule) == 0.0
+
+
+@pytest.mark.parametrize("measure", [
+    lambda p: area_measure(p, 1.3),
+    # nodes are images of antipodes under the quadratic map, so not
+    # antipodal themselves: the half split only reorders the sum
+    lambda p: b_minus_measure(derived_params(p), 0.7),
+    chebyshev_t_measure,
+])
+def test_moment_table_matches_moment(p21, measure):
+    rule = build_rule(measure(p21), n_radial=24, n_angular=64)
+    M = moment_table(10, rule)
+    assert M.shape == (11, 11)
+    for i in range(11):
+        for j in range(11):
+            ref = moment(i, j, rule)
+            if ref == 0.0:
+                assert M[i, j] == 0.0
+            else:
+                assert abs(M[i, j] - ref) <= 1e-13 * abs(ref), (i, j)
+
+
+def test_moment_table_odd_parity_exactly_zero(p21):
+    M = moment_table(20, build_rule(area_measure(p21, 1.3)))
+    p, q = np.indices(M.shape)
+    odd = M[(p + q) % 2 == 1]
+    assert odd.size == 220
+    assert np.all(odd == 0.0)
+    assert np.all(M[(p + q) % 2 == 0] != 0.0)
+
+
+def test_moment_table_rejects_negative_order(p21):
+    with pytest.raises(ValueError):
+        moment_table(-1, build_rule(area_measure(p21, 0.0), 4, 8))
 
 
 def test_node_antipodal_structure(p21):
