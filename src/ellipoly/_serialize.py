@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import io
 import json
+import math
 from enum import Enum
 
 import numpy as np
@@ -70,10 +71,13 @@ def dumps(payload: dict) -> str:
 
 
 def write_csv(header: list[str], rows: list[tuple]) -> str:
-    """Minimal deterministic CSV (numbers via repr, no quoting needed)."""
+    """Minimal deterministic CSV (numbers via repr, no quoting needed);
+    raises ValueError on a NaN or an infinity, as dumps does."""
     buf = io.StringIO()
     buf.write(",".join(header) + "\n")
     for row in rows:
+        if any(isinstance(x, float) and not math.isfinite(x) for x in row):
+            raise ValueError(f"result is not finite (row {row!r})")
         buf.write(",".join(repr(x) if isinstance(x, float) else str(x)
                            for x in row) + "\n")
     return buf.getvalue()

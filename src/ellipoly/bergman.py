@@ -18,6 +18,7 @@ from .geometry import EllipseParams, area_measure
 from .norms import monic_factor, monic_norm
 from .polynomials import gegenbauer_matrix, gegenbauer_norm, lnpoch, recurrence_coeffs
 from .quadrature import DEFAULT_N_ANGULAR, DEFAULT_N_RADIAL, build_rule
+from .selberg import _ensemble_weights
 
 __all__ = [
     "GegenbauerBasis",
@@ -202,13 +203,6 @@ def _hessenberg_gegenbauer_closed(basis: GegenbauerBasis, nmax: int) -> np.ndarr
     return entries
 
 
-def _charged_area_rule(basis: ChristoffelBasis, n_radial: int, n_angular: int):
-    rule = build_rule(area_measure(basis.params, basis.alpha),
-                      n_radial=n_radial, n_angular=n_angular)
-    w = rule.weights * np.abs(basis.v - rule.nodes) ** 2
-    return rule.nodes, w
-
-
 def hessenberg(basis, nmax: int, strategy: str = "auto",
                n_radial: int = DEFAULT_N_RADIAL,
                n_angular: int = DEFAULT_N_ANGULAR) -> HessenbergMatrix:
@@ -222,30 +216,33 @@ def hessenberg(basis, nmax: int, strategy: str = "auto",
     if nmax < 1:
         raise ValueError("nmax must be at least 1")
     if isinstance(basis, GegenbauerBasis):
+        label = f"gegenbauer(alpha={basis.alpha})"
         if strategy in ("auto", "closed"):
             return HessenbergMatrix(
-                basis_label=f"gegenbauer(alpha={basis.alpha})",
+                basis_label=label,
                 nmax=nmax,
                 entries=_hessenberg_gegenbauer_closed(basis, nmax),
                 strategy="closed")
         if strategy != "quadrature":
             raise ValueError(f"unknown strategy {strategy!r}")
-        rule = build_rule(area_measure(basis.params, basis.alpha),
-                          n_radial=n_radial, n_angular=n_angular)
-        nodes, weights = rule.nodes, rule.weights
-        P = orthonormal_values(basis.alpha, basis.params, nmax, nodes)
-        label = f"gegenbauer(alpha={basis.alpha})"
     elif isinstance(basis, ChristoffelBasis):
         if strategy not in ("auto", "quadrature"):
             raise ValueError("christoffel entries are only available by quadrature")
         if nmax > basis.nmax:
             raise ValueError(f"nmax {nmax} exceeds basis cap {basis.nmax}")
-        nodes, weights = _charged_area_rule(basis, n_radial, n_angular)
-        P = christoffel_values(basis, nmax, nodes)
         label = f"christoffel(alpha={basis.alpha}, v={basis.v})"
     else:
         raise TypeError(f"unsupported basis {type(basis).__name__}")
 
+    rule = build_rule(area_measure(basis.params, basis.alpha),
+                      n_radial=n_radial, n_angular=n_angular)
+    nodes, weights = rule.nodes, rule.weights
+    del rule  # lets the charged weights below release the plain ones
+    if isinstance(basis, ChristoffelBasis):
+        weights = weights * np.abs(basis.v - nodes) ** 2
+        P = christoffel_values(basis, nmax, nodes)
+    else:
+        P = orthonormal_values(basis.alpha, basis.params, nmax, nodes)
     zP = nodes[None, :] * P[:nmax]
     np.conjugate(P, out=P)
     P *= weights
@@ -330,20 +327,15 @@ def heine_check(alpha: float, p: EllipseParams, N: int,
 
     Only N in {1, 2} are computed directly (2N-dimensional tensor rule).
     """
-    if N not in (1, 2):
-        raise ValueError("direct ensemble average only implemented for N in {1, 2}")
-    rule = build_rule(area_measure(p, alpha), n_radial=n_radial, n_angular=n_angular)
-    z, w = rule.nodes, rule.weights
+    z, W = _ensemble_weights(alpha, p, N, n_radial, n_angular)
 
     gx = np.linspace(-0.8 * p.a, 0.8 * p.a, 5)
     gy = np.linspace(-0.8 * p.b, 0.8 * p.b, 5)
     grid = (gx[:, None] + 1j * gy[None, :]).ravel()
 
     if N == 1:
-        m1 = np.sum(w * z)
-        avg = grid - m1
+        avg = grid - np.sum(W * z)
     else:
-        W = np.outer(w, w) * np.abs(z[:, None] - z[None, :]) ** 2
         T0 = W.sum()
         T1 = (W.sum(axis=1) * z).sum()
         T2 = z @ W @ z

@@ -40,7 +40,18 @@ from .verification import run_all
 
 __all__ = ["main"]
 
-_FAMILY_NEEDS_ALPHA = {"gegenbauer", "jacobi-plus", "jacobi-minus"}
+# CLI family name -> (factory, whether it takes --alpha)
+_FAMILIES = {
+    "gegenbauer": (gegenbauer, True),
+    "legendre": (legendre, False),
+    "chebyshev-t": (chebyshev_t, False),
+    "chebyshev-u": (chebyshev_u, False),
+    "chebyshev-v": (chebyshev_v, False),
+    "chebyshev-w": (chebyshev_w, False),
+    "jacobi-plus": (lambda alpha: jacobi_half(alpha, +1), True),
+    "jacobi-minus": (lambda alpha: jacobi_half(alpha, -1), True),
+    "hermite": (hermite, False),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -54,27 +65,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _family(name: str, alpha: float | None) -> PolynomialFamily:
-    if name in _FAMILY_NEEDS_ALPHA and alpha is None:
+    make, needs_alpha = _FAMILIES[name]
+    if needs_alpha and alpha is None:
         raise ValueError(f"--alpha is required for family {name}")
-    if name == "gegenbauer":
-        return gegenbauer(alpha)
-    if name == "legendre":
-        return legendre()
-    if name == "chebyshev-t":
-        return chebyshev_t()
-    if name == "chebyshev-u":
-        return chebyshev_u()
-    if name == "chebyshev-v":
-        return chebyshev_v()
-    if name == "chebyshev-w":
-        return chebyshev_w()
-    if name == "jacobi-plus":
-        return jacobi_half(alpha, +1)
-    if name == "jacobi-minus":
-        return jacobi_half(alpha, -1)
-    if name == "hermite":
-        return hermite()
-    raise ValueError(f"unknown family {name}")
+    return make(alpha) if needs_alpha else make()
 
 
 def _meta(args, p=None, rule: bool = False, convention: str | None = None) -> dict:
@@ -146,18 +140,12 @@ def _cmd_norms(args) -> int:
     if args.derived:
         p = derived_params(p)
     fam = _family(args.family, args.alpha)
-    normalized = None
-    if args.convention == "normalized":
-        normalized = True
-    elif args.convention == "flat":
-        normalized = False
+    convention = args.convention
+    if convention == "canonical":
+        convention = "normalized" if canonical_measure(fam, p).normalized else "flat"
     ns = [args.n] if args.n is not None else list(range(args.nmax + 1))
-    values = [closed_norm(fam, p, n, normalized=normalized) for n in ns]
-    if normalized is None:
-        measure = canonical_measure(fam, p)
-        convention = "normalized" if measure.normalized else "flat"
-    else:
-        convention = args.convention
+    values = [closed_norm(fam, p, n, normalized=convention == "normalized")
+              for n in ns]
     if args.format == "csv":
         _emit(args, write_csv(["n", "norm"], list(zip(ns, values))))
         return 0
@@ -195,12 +183,17 @@ def _cmd_selberg(args) -> int:
     p = make_params(args.a, args.b)
     res = selberg_compare(args.alpha, p, args.N, direct=args.direct,
                           n_radial=args.n_radial, n_angular=args.n_angular)
+    try:
+        value = math.exp(res.log_product)
+    except OverflowError:
+        raise ValueError(f"Z_N = exp({res.log_product!r}) overflows the double "
+                         f"range; only log Z_N is representable") from None
     payload = {
         "meta": _meta(args, p, rule=args.direct, convention="normalized"),
         "data": {
             "alpha": res.alpha, "N": res.N, "sign": res.sign,
             "log_closed": res.log_closed, "log_product": res.log_product,
-            "value": math.exp(res.log_product),
+            "value": value,
             "direct_value": res.direct_value,
             "log_rel_discrepancy": res.log_rel_discrepancy,
             "direct_rel_discrepancy": res.direct_rel_discrepancy,
@@ -291,11 +284,6 @@ def _add_rule(sp):
 def _add_output(sp):
     sp.add_argument("--output", help="write to this path instead of stdout "
                     "(relative paths resolve under $ELLIPOLY_OUTPUT_DIR)")
-
-
-_FAMILIES = ["gegenbauer", "legendre", "chebyshev-t", "chebyshev-u",
-             "chebyshev-v", "chebyshev-w", "jacobi-plus", "jacobi-minus",
-             "hermite"]
 
 
 def build_parser() -> argparse.ArgumentParser:

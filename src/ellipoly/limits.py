@@ -83,6 +83,16 @@ def _entry_residual(value: complex, target: complex, diagonal: bool) -> float:
     return abs(value - target)
 
 
+def _planar_entry(p: EllipseParams, alpha: float, n: int, m: int,
+                  n_radial: int, n_angular: int) -> complex:
+    """<C_n(z/c), C_m(z/c)>_alpha under dA_alpha on the ellipse p, by the
+    area rule."""
+    rule = build_rule(area_measure(p, alpha), n_radial=n_radial,
+                      n_angular=n_angular)
+    C = gegenbauer_matrix(alpha, max(n, m), rule.nodes / p.c)
+    return np.sum(rule.weights * C[n] * np.conj(C[m]))
+
+
 def hermite_limit(p: EllipseParams, n: int, m: int, alpha_sequence,
                   tolerance: float = 1e-2, noise_floor: float = 1e-8,
                   n_radial: int = DEFAULT_N_RADIAL,
@@ -107,10 +117,7 @@ def hermite_limit(p: EllipseParams, n: int, m: int, alpha_sequence,
 
     values = []
     for alpha in alphas:
-        rule = build_rule(area_measure(p, alpha), n_radial=n_radial,
-                          n_angular=n_angular)
-        C = gegenbauer_matrix(alpha, max(n, m), rule.nodes / p.c)
-        g = np.sum(rule.weights * C[n] * np.conj(C[m]))
+        g = _planar_entry(p, alpha, n, m, n_radial, n_angular)
         scale = math.pi * p.a * p.b * math.exp(
             math.lgamma(n + 1) + math.lgamma(m + 1)
             - 0.5 * (n + m) * math.log1p(alpha))
@@ -166,12 +173,9 @@ def disc_limit(a: float, n: int, m: int, alpha: float, b_sequence,
     values = []
     for b in bs:
         p = make_params(a, b)
-        rule = build_rule(area_measure(p, alpha), n_radial=n_radial,
-                          n_angular=n_angular)
-        C = gegenbauer_matrix(alpha, max(n, m), rule.nodes / p.c)
         fn = monic_factor(alpha, p, n)
         fm = monic_factor(alpha, p, m)
-        values.append(complex(fn * fm * np.sum(rule.weights * C[n] * np.conj(C[m]))))
+        values.append(complex(fn * fm * _planar_entry(p, alpha, n, m, n_radial, n_angular)))
     residuals = tuple(abs(v - target) for v in values)
     closed_diag = math.exp(math.lgamma(n + 1) + math.lgamma(1.0 + alpha)
                            + math.log1p(alpha) + 2 * n * math.log(a)
@@ -226,11 +230,8 @@ def realline_limit(a: float, n: int, m: int, alpha: float, b_sequence,
 
     values = []
     for b in bs:
-        p = make_params(a, b)
-        rule = build_rule(area_measure(p, alpha), n_radial=n_radial,
-                          n_angular=n_angular)
-        C = gegenbauer_matrix(alpha, max(n, m), rule.nodes / p.c)
-        values.append(complex(np.sum(rule.weights * C[n] * np.conj(C[m]))))
+        values.append(complex(_planar_entry(make_params(a, b), alpha, n, m,
+                                            n_radial, n_angular)))
     residuals = tuple(_entry_residual(v, target, n == m) for v in values)
     closed_diag = (1.0 + alpha) / (1.0 + alpha + n) * math.exp(
         lnpoch(2.0 + 2.0 * alpha, n) - math.lgamma(n + 1)) if n == m else 0.0

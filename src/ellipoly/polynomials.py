@@ -123,20 +123,31 @@ def _as_complex(z):
     return arr, arr.ndim == 0
 
 
+def _forward(nmax: int, z, first, step) -> np.ndarray:
+    """Rows 0..nmax of a three-term family by forward recurrence: row 0 is 1,
+    row 1 is first(z) and row k+1 is step(k, z, row k, row k-1)."""
+    z, _ = _as_complex(z)
+    out = np.empty((nmax + 1,) + z.shape, dtype=complex)
+    out[0] = 1.0
+    if nmax >= 1:
+        out[1] = first(z)
+        # the last two rows ride in locals, which is cheaper than indexing out
+        prev, cur = out[0], out[1]
+        for k in range(1, nmax):
+            prev, cur = cur, step(k, z, cur, prev)
+            out[k + 1] = cur
+    return out
+
+
 def gegenbauer_matrix(alpha: float, nmax: int, z) -> np.ndarray:
     """All Gegenbauer values C_k^{(1+alpha)}(z) for k = 0..nmax.
 
     Returns an array of shape (nmax+1,) + shape(z).  Forward recurrence:
     C_{k+1} = (2(k+1+alpha) z C_k - (k+1+2 alpha) C_{k-1}) / (k+1).
     """
-    z, _ = _as_complex(z)
-    out = np.empty((nmax + 1,) + z.shape, dtype=complex)
-    out[0] = 1.0
-    if nmax >= 1:
-        out[1] = 2.0 * (1.0 + alpha) * z
-    for k in range(1, nmax):
-        out[k + 1] = (2.0 * (k + 1 + alpha) * z * out[k] - (k + 1 + 2 * alpha) * out[k - 1]) / (k + 1)
-    return out
+    return _forward(
+        nmax, z, lambda z: 2.0 * (1.0 + alpha) * z,
+        lambda k, z, ck, cm: (2.0 * (k + 1 + alpha) * z * ck - (k + 1 + 2 * alpha) * cm) / (k + 1))
 
 
 def eval_gegenbauer(alpha: float, n: int, z):
@@ -150,73 +161,48 @@ def eval_gegenbauer(alpha: float, n: int, z):
     return complex(val) if scalar else val
 
 
-def _chebyshev_matrix(kind: FamilyKind, nmax: int, z) -> np.ndarray:
-    z, _ = _as_complex(z)
-    out = np.empty((nmax + 1,) + z.shape, dtype=complex)
-    out[0] = 1.0
-    if nmax >= 1:
-        if kind == FamilyKind.CHEBYSHEV_T:
-            out[1] = z
-        elif kind == FamilyKind.CHEBYSHEV_U:
-            out[1] = 2.0 * z
-        elif kind == FamilyKind.CHEBYSHEV_V:
-            out[1] = 2.0 * z - 1.0
-        else:
-            out[1] = 2.0 * z + 1.0
-    for k in range(1, nmax):
-        out[k + 1] = 2.0 * z * out[k] - out[k - 1]
-    return out
-
-
-def _jacobi_matrix(A: float, B: float, nmax: int, z) -> np.ndarray:
-    """Jacobi P_k^{(A,B)} for k = 0..nmax by the standard recurrence.
-
-    The k = 0 step is written out explicitly because the generic coefficient
-    has a removable 0/0 at 2k + A + B = 0 (reached for A + B = 0).
-    """
-    z, _ = _as_complex(z)
-    out = np.empty((nmax + 1,) + z.shape, dtype=complex)
-    out[0] = 1.0
-    if nmax >= 1:
-        out[1] = (A - B) / 2.0 + (A + B + 2.0) * z / 2.0
-    for k in range(1, nmax):
-        s = 2 * k + A + B
-        a1 = (s + 1.0) * (s + 2.0) / (2.0 * (k + 1) * (k + A + B + 1.0))
-        b1 = (A * A - B * B) * (s + 1.0) / (2.0 * (k + 1) * (k + A + B + 1.0) * s)
-        c1 = (k + A) * (k + B) * (s + 2.0) / ((k + 1) * (k + A + B + 1.0) * s)
-        out[k + 1] = (a1 * z + b1) * out[k] - c1 * out[k - 1]
-    return out
-
-
-def _hermite_matrix(nmax: int, z) -> np.ndarray:
-    """Physicists' Hermite H_k, H_{k+1} = 2 z H_k - 2k H_{k-1}."""
-    z, _ = _as_complex(z)
-    out = np.empty((nmax + 1,) + z.shape, dtype=complex)
-    out[0] = 1.0
-    if nmax >= 1:
-        out[1] = 2.0 * z
-    for k in range(1, nmax):
-        out[k + 1] = 2.0 * z * out[k] - 2.0 * k * out[k - 1]
-    return out
+# Degree-one members of the Chebyshev kinds; all four share the step
+# 2 z P_k - P_{k-1}.
+_CHEBYSHEV_FIRST = {
+    FamilyKind.CHEBYSHEV_T: lambda z: z,
+    FamilyKind.CHEBYSHEV_U: lambda z: 2.0 * z,
+    FamilyKind.CHEBYSHEV_V: lambda z: 2.0 * z - 1.0,
+    FamilyKind.CHEBYSHEV_W: lambda z: 2.0 * z + 1.0,
+}
 
 
 def family_matrix(family: PolynomialFamily, nmax: int, z) -> np.ndarray:
     """Values of family members 0..nmax at z; shape (nmax+1,) + shape(z)."""
     if nmax < 0:
         raise ValueError("nmax must be nonnegative")
-    k = family.kind
-    if k == FamilyKind.GEGENBAUER:
+    kind = family.kind
+    if kind == FamilyKind.GEGENBAUER:
         return gegenbauer_matrix(family.alpha, nmax, z)
-    if k == FamilyKind.LEGENDRE:
+    if kind == FamilyKind.LEGENDRE:
         return gegenbauer_matrix(-0.5, nmax, z)
-    if k in (FamilyKind.CHEBYSHEV_T, FamilyKind.CHEBYSHEV_U,
-             FamilyKind.CHEBYSHEV_V, FamilyKind.CHEBYSHEV_W):
-        return _chebyshev_matrix(k, nmax, z)
-    if k == FamilyKind.JACOBI_HALF:
-        return _jacobi_matrix(family.alpha + 0.5, 0.5 * family.sign, nmax, z)
-    if k == FamilyKind.HERMITE:
-        return _hermite_matrix(nmax, z)
-    raise ValueError(f"unknown family {k}")
+    if kind in _CHEBYSHEV_FIRST:
+        return _forward(nmax, z, _CHEBYSHEV_FIRST[kind],
+                        lambda k, z, pk, pm: 2.0 * z * pk - pm)
+    if kind == FamilyKind.JACOBI_HALF:
+        # P_k^{(A,B)} by the standard recurrence.  Degree one is written out
+        # because the generic coefficient has a removable 0/0 at 2k + A + B = 0
+        # (reached for A + B = 0).
+        A, B = family.alpha + 0.5, 0.5 * family.sign
+
+        def jacobi_step(k, z, pk, pm):
+            s = 2 * k + A + B
+            a1 = (s + 1.0) * (s + 2.0) / (2.0 * (k + 1) * (k + A + B + 1.0))
+            b1 = (A * A - B * B) * (s + 1.0) / (2.0 * (k + 1) * (k + A + B + 1.0) * s)
+            c1 = (k + A) * (k + B) * (s + 2.0) / ((k + 1) * (k + A + B + 1.0) * s)
+            return (a1 * z + b1) * pk - c1 * pm
+
+        return _forward(nmax, z, lambda z: (A - B) / 2.0 + (A + B + 2.0) * z / 2.0,
+                        jacobi_step)
+    if kind == FamilyKind.HERMITE:
+        # physicists' Hermite: H_{k+1} = 2 z H_k - 2k H_{k-1}
+        return _forward(nmax, z, lambda z: 2.0 * z,
+                        lambda k, z, hk, hm: 2.0 * z * hk - 2.0 * k * hm)
+    raise ValueError(f"unknown family {kind}")
 
 
 def eval_family(family: PolynomialFamily, n: int, z):

@@ -113,51 +113,45 @@ def build_rule(measure: Measure,
                n_angular: int = DEFAULT_N_ANGULAR) -> QuadratureRule:
     """Construct a rule for the measure, exact (to roundoff) for polynomial
     integrands of joint degree up to roughly 2 n_radial in |z| and n_angular
-    in harmonics."""
+    in harmonics.  Each rule is built in one convention (flat d^2z for the
+    Chebyshev weights, normalized otherwise) and converted once by the
+    measure's flat_factor when the measure asks for the other."""
     p = measure.params
     kind = measure.kind
+    # FLAT and the Chebyshev V/W rules are the alpha = 0 area-type rules.
+    alpha = 0.0 if measure.alpha is None else measure.alpha
 
-    if kind == MeasureKind.AREA_ALPHA:
-        nodes, weights = _area_rule(p, measure.alpha, n_radial, n_angular)
-        if not measure.normalized:
-            weights = weights * measure.flat_factor
-        return QuadratureRule(measure, nodes, weights)
-
-    if kind == MeasureKind.FLAT:
-        nodes, weights = _area_rule(p, 0.0, n_radial, n_angular)
-        return QuadratureRule(measure, nodes, weights * measure.flat_factor)
-
-    if kind in (MeasureKind.B_MINUS, MeasureKind.B_PLUS):
+    if kind in (MeasureKind.AREA_ALPHA, MeasureKind.FLAT):
+        nodes, weights = _area_rule(p, alpha, n_radial, n_angular)
+    elif kind == MeasureKind.CHEBYSHEV_T:
+        nodes, weights = _chebyshev_t_rule(p, n_radial, n_angular)
+    elif kind in (MeasureKind.B_MINUS, MeasureKind.B_PLUS,
+                  MeasureKind.CHEBYSHEV_V, MeasureKind.CHEBYSHEV_W):
         # Pull the normalized area rule on the base ellipse through
         # w = c (2 (z/c)^2 - 1): the push-forward of dA_alpha is exactly
         # dB_alpha^- of the derived ellipse, so the weights transfer as-is.
         pb = base_params(p)
-        znodes, weights = _area_rule(pb, measure.alpha, n_radial, n_angular)
+        znodes, weights = _area_rule(pb, alpha, n_radial, n_angular)
         nodes, _ = quadratic_map(pb, znodes)
         if kind == MeasureKind.B_PLUS:
             # dB^+/dB^- = (2+alpha) |c + w| / a, and c + w = 2 z^2 / c on the
             # image of the base variable, so the density is real and positive.
-            weights = weights * (2.0 + measure.alpha) * 2.0 * np.abs(znodes) ** 2 / (p.a * p.c)
-        if not measure.normalized:
-            weights = weights * measure.flat_factor
-        return QuadratureRule(measure, nodes, weights)
+            weights = weights * (2.0 + alpha) * 2.0 * np.abs(znodes) ** 2 / (p.a * p.c)
+        elif kind != MeasureKind.B_MINUS:
+            # d^2 z / |c + z| is the flat form of dB_0^- (alpha = 0); the V rule
+            # integrates d^2 z / |c - z|, i.e. the same rule with nodes negated.
+            weights = weights * 2.0 * np.pi * p.b
+            if kind == MeasureKind.CHEBYSHEV_V:
+                nodes = -nodes
+    else:
+        raise ValueError(f"unknown measure kind {kind}")
 
-    if kind == MeasureKind.CHEBYSHEV_T:
-        nodes, weights = _chebyshev_t_rule(p, n_radial, n_angular)
-        return QuadratureRule(measure, nodes, weights)
-
-    if kind in (MeasureKind.CHEBYSHEV_V, MeasureKind.CHEBYSHEV_W):
-        # d^2 z / |c + z| is the flat form of dB_0^- (alpha = 0); the V rule
-        # integrates d^2 z / |c - z|, i.e. the same rule with nodes negated.
-        pb = base_params(p)
-        znodes, weights = _area_rule(pb, 0.0, n_radial, n_angular)
-        nodes, _ = quadratic_map(pb, znodes)
-        weights = weights * 2.0 * np.pi * p.b
-        if kind == MeasureKind.CHEBYSHEV_V:
-            nodes = -nodes
-        return QuadratureRule(measure, nodes, weights)
-
-    raise ValueError(f"unknown measure kind {kind}")
+    flat_built = kind in (MeasureKind.CHEBYSHEV_T, MeasureKind.CHEBYSHEV_V,
+                          MeasureKind.CHEBYSHEV_W)
+    if measure.normalized == flat_built:
+        weights = weights / measure.flat_factor if flat_built \
+            else weights * measure.flat_factor
+    return QuadratureRule(measure, nodes, weights)
 
 
 def inner_product(f, g, rule: QuadratureRule) -> complex:

@@ -15,7 +15,6 @@ import numpy as np
 
 from .geometry import EllipseParams, area_measure
 from .norms import log_monic_norm
-from .polynomials import eval_terminating_2f1
 from .quadrature import build_rule
 
 __all__ = [
@@ -27,34 +26,46 @@ __all__ = [
 ]
 
 
-def selberg_product(alpha: float, p: EllipseParams, N: int) -> float:
-    """log Z_N via the norm product: log(N! prod_{j<N} htilde_j)."""
+def _log_selberg(alpha: float, p: EllipseParams, N: int, method: str) -> float:
+    """log(N! prod_{j<N} htilde_j) with the monic norms taken by `method`;
+    raises ValueError when the total leaves the double range."""
     if N < 1:
         raise ValueError("N must be at least 1")
     total = math.lgamma(N + 1)
     for j in range(N):
-        total += log_monic_norm(alpha, p, j, method="gegenbauer")
+        total += log_monic_norm(alpha, p, j, method=method)
+    if not math.isfinite(total):
+        raise ValueError(f"log Z_N is not finite ({total}) for N = {N}: "
+                         f"a monic norm overflows the double range")
     return total
+
+
+def selberg_product(alpha: float, p: EllipseParams, N: int) -> float:
+    """log Z_N via the norm product: log(N! prod_{j<N} htilde_j)."""
+    return _log_selberg(alpha, p, N, "gegenbauer")
 
 
 def selberg_closed(alpha: float, p: EllipseParams, N: int) -> float:
     """log Z_N from the assembled closed form: Gamma-ratio prefactors times
     terminating 2F1 factors at argument -b^2/c^2 (all series terms positive,
     so the whole expression is a product of positive factors)."""
-    if N < 1:
-        raise ValueError("N must be at least 1")
     if not alpha > -1.0:
         raise ValueError(f"alpha must exceed -1, got {alpha}")
-    const = (0.5 * math.log(math.pi) + math.lgamma(2.0 + alpha)
-             - (2.0 * alpha + 1.0) * math.log(2.0) - math.lgamma(alpha + 1.5))
-    total = math.lgamma(N + 1) + N * const + N * (N - 1) * math.log(p.c / 2.0)
-    x = -((p.b / p.c) ** 2)
-    for n in range(N):
-        total += (math.lgamma(2.0 + 2.0 * alpha + n) + math.lgamma(n + 1.0)
-                  - math.lgamma(1.0 + alpha + n) - math.lgamma(2.0 + alpha + n))
-        total += math.log(eval_terminating_2f1(n, 2.0 + 2.0 * alpha + n,
-                                               alpha + 1.5, x))
-    return total
+    return _log_selberg(alpha, p, N, "hypergeometric")
+
+
+def _ensemble_weights(alpha: float, p: EllipseParams, N: int,
+                      n_radial: int, n_angular: int):
+    """Nodes z of the area rule for dA_alpha and the weight of the N-point
+    ensemble over node tuples (N in {1, 2}): w_i for N = 1 and
+    W_ij = w_i w_j |z_i - z_j|^2 for N = 2."""
+    if N not in (1, 2):
+        raise ValueError("direct tensor quadrature is limited to N in {1, 2}")
+    rule = build_rule(area_measure(p, alpha), n_radial=n_radial, n_angular=n_angular)
+    z, w = rule.nodes, rule.weights
+    if N == 1:
+        return z, w
+    return z, np.outer(w, w) * np.abs(z[:, None] - z[None, :]) ** 2
 
 
 def selberg_direct(alpha: float, p: EllipseParams, N: int,
@@ -65,13 +76,7 @@ def selberg_direct(alpha: float, p: EllipseParams, N: int,
     pairs directly (the integrand is polynomial in the coordinates, so the
     tensor rule is exact to roundoff).
     """
-    if N not in (1, 2):
-        raise ValueError("direct evaluation is limited to N in {1, 2}")
-    rule = build_rule(area_measure(p, alpha), n_radial=n_radial, n_angular=n_angular)
-    if N == 1:
-        return rule.mass
-    z, w = rule.nodes, rule.weights
-    W = np.outer(w, w) * np.abs(z[:, None] - z[None, :]) ** 2
+    _, W = _ensemble_weights(alpha, p, N, n_radial, n_angular)
     return float(W.sum())
 
 

@@ -51,17 +51,24 @@ class CheckResult:
     metrics: dict = field(default_factory=dict)
 
 
+def _worst_gram(families, params, nmax: int) -> tuple[float, float]:
+    """Worst off-diagonal/max-diagonal ratio and worst diagonal relative
+    error over the families' Gram matrices under their canonical weights."""
+    worst_off = 0.0
+    worst_diag = 0.0
+    for fam in families:
+        res = gram_matrix(fam, canonical_measure(fam, params), nmax)
+        worst_off = max(worst_off, res.max_offdiag / res.diag.max())
+        worst_diag = max(worst_diag, res.max_diag_error)
+    return worst_off, worst_diag
+
+
 def check_gegenbauer_gram() -> CheckResult:
     """Gegenbauer orthogonality on p(2,1): off-diagonals below 1e-10 of the
     largest diagonal and diagonals within 1e-10 of the closed norms, for
     degrees <= 16 and alpha in {-0.9, -0.5, 0, 1, 2.5}."""
-    worst_off = 0.0
-    worst_diag = 0.0
-    for alpha in (-0.9, -0.5, 0.0, 1.0, 2.5):
-        fam = gegenbauer(alpha)
-        res = gram_matrix(fam, canonical_measure(fam, P21), 16)
-        worst_off = max(worst_off, res.max_offdiag / res.diag.max())
-        worst_diag = max(worst_diag, res.max_diag_error)
+    worst_off, worst_diag = _worst_gram(
+        [gegenbauer(alpha) for alpha in (-0.9, -0.5, 0.0, 1.0, 2.5)], P21, 16)
     passed = worst_off <= 1e-10 and worst_diag <= 1e-10
     return CheckResult(
         name="gegenbauer_gram",
@@ -94,14 +101,9 @@ def check_jacobi_derived_ellipse() -> CheckResult:
     diagonal, n <= 10, alpha in {0, 1.5}, both half-integer second
     parameters."""
     dp = derived_params(P21)
-    worst_off = 0.0
-    worst_diag = 0.0
-    for alpha in (0.0, 1.5):
-        for sign in (-1, +1):
-            fam = jacobi_half(alpha, sign)
-            res = gram_matrix(fam, canonical_measure(fam, dp), 10)
-            worst_off = max(worst_off, res.max_offdiag / res.diag.max())
-            worst_diag = max(worst_diag, res.max_diag_error)
+    worst_off, worst_diag = _worst_gram(
+        [jacobi_half(alpha, sign) for alpha in (0.0, 1.5) for sign in (-1, +1)],
+        dp, 10)
     passed = worst_off <= 1e-9 and worst_diag <= 1e-9
     return CheckResult(
         name="jacobi_derived_ellipse",
@@ -117,12 +119,8 @@ def check_chebyshev_families() -> CheckResult:
     (mapped-coordinate quadrature): diagonals within 1e-8 of the closed
     norms for n <= 12, including the n=0 anchors pi*ln(3) for the first
     kind and 2*pi for the second kind (flat convention)."""
-    worst_diag = 0.0
-    worst_off = 0.0
-    for fam in (chebyshev_t(), chebyshev_u(), chebyshev_v(), chebyshev_w()):
-        res = gram_matrix(fam, canonical_measure(fam, P21), 12)
-        worst_off = max(worst_off, res.max_offdiag / res.diag.max())
-        worst_diag = max(worst_diag, res.max_diag_error)
+    worst_off, worst_diag = _worst_gram(
+        [chebyshev_t(), chebyshev_u(), chebyshev_v(), chebyshev_w()], P21, 12)
     t0 = closed_norm(chebyshev_t(), P21, 0)
     u0 = closed_norm(chebyshev_u(), P21, 0)
     anchors = abs(t0 - math.pi * math.log(3.0)) + abs(u0 - 2.0 * math.pi)

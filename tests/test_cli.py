@@ -97,6 +97,30 @@ def test_nonfinite_result_exits_one():
     assert "Traceback" not in p.stderr
 
 
+@pytest.mark.parametrize("args", [
+    ("norms", "--family", "gegenbauer", "--alpha", "0", "--a", "2", "--b", "1",
+     "--nmax", "800", "--format", "csv"),
+    ("limits", "--regime", "hermite", "--n", "1", "--m", "1",
+     "--sequence", "10", "1e4", "--format", "csv"),
+], ids=["norms", "limits"])
+def test_nonfinite_csv_exits_one(args):
+    """CSV output refuses NaN and infinity the way JSON output does."""
+    p = run_cli(*args)
+    assert p.returncode == 1
+    assert p.stdout == ""
+    assert "not finite" in p.stderr
+    assert "Traceback" not in p.stderr
+
+
+def test_selberg_value_overflow_exits_one():
+    """log Z_300 is finite but Z_300 itself exceeds the double range."""
+    p = run_cli("selberg", "--alpha", "0", "--a", "2", "--b", "1", "--N", "300")
+    assert p.returncode == 1
+    assert p.stdout == ""
+    assert "overflows" in p.stderr
+    assert "Traceback" not in p.stderr
+
+
 def test_hessenberg_bandwidth():
     p = run_cli("hessenberg", "--basis", "gegenbauer", "--alpha", "1",
                 "--a", "2", "--b", "1", "--nmax", "8")

@@ -1,5 +1,6 @@
 """Closed-form squared norms, conventions, and Gram-Schmidt recovery."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -53,6 +54,16 @@ def test_closed_norm_matches_quadrature_chebyshev(p21):
     for fam in (chebyshev_t(), chebyshev_u(), chebyshev_v(), chebyshev_w()):
         g = gram_matrix(fam, canonical_measure(fam, p21), 8)
         np.testing.assert_allclose(g.diag, g.closed_diag, rtol=1e-9)
+
+
+def test_gram_matrix_normalized_chebyshev(p21):
+    # the rules honour normalized=True, so quadrature matches the closed
+    # norms converted by flat_factor
+    for fam in (chebyshev_t(), chebyshev_u(), chebyshev_v(), chebyshev_w()):
+        measure = dataclasses.replace(canonical_measure(fam, p21), normalized=True)
+        g = gram_matrix(fam, measure, 8)
+        closed = [closed_norm(fam, p21, n, normalized=True) for n in range(9)]
+        np.testing.assert_allclose(g.diag, closed, rtol=1e-10)
 
 
 def test_chebyshev_t_n0_special_branch(p21):

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.hermite import hermval
 from scipy.special import (
     eval_chebyt,
     eval_chebyu,
@@ -35,6 +36,15 @@ from ellipoly import (
 )
 
 XGRID = np.linspace(-1.8, 1.8, 13)
+# degrees 0 and 1 exercise the recurrence's start rows on their own
+NMAXES = (0, 1)
+
+
+def points_and_rtol(complex_grid):
+    """The real grid at 1e-12, and complex points at 1e-10: scipy evaluates
+    complex arguments through 2F1, which against mpmath is good to about
+    2e-11 relative on this grid (the recurrences to about 1e-15)."""
+    return ((XGRID, 1e-12), (complex_grid, 1e-10))
 
 
 @pytest.mark.parametrize("alpha", [-0.9, -0.5, 0.0, 0.7, 2.5])
@@ -64,37 +74,52 @@ def test_low_degree_gegenbauer_closed_forms():
     assert C[2] == pytest.approx(2 * lam * (1 + lam) * z**2 - lam)
 
 
-def test_chebyshev_families_vs_scipy():
-    T = family_matrix(chebyshev_t(), 9, XGRID)
-    U = family_matrix(chebyshev_u(), 9, XGRID)
-    V = family_matrix(chebyshev_v(), 9, XGRID)
-    W = family_matrix(chebyshev_w(), 9, XGRID)
-    for n in range(10):
-        np.testing.assert_allclose(T[n], eval_chebyt(n, XGRID), rtol=1e-12)
-        np.testing.assert_allclose(U[n], eval_chebyu(n, XGRID), rtol=1e-12)
-        # V_n = U_n - U_{n-1}, W_n = U_n + U_{n-1}
-        um1 = eval_chebyu(n - 1, XGRID) if n else 0.0
-        np.testing.assert_allclose(V[n], eval_chebyu(n, XGRID) - um1, rtol=1e-12)
-        np.testing.assert_allclose(W[n], eval_chebyu(n, XGRID) + um1, rtol=1e-12)
+def test_chebyshev_families_vs_scipy(complex_grid):
+    for z, rtol in points_and_rtol(complex_grid):
+        for nmax in (9,) + NMAXES:
+            T = family_matrix(chebyshev_t(), nmax, z)
+            U = family_matrix(chebyshev_u(), nmax, z)
+            V = family_matrix(chebyshev_v(), nmax, z)
+            W = family_matrix(chebyshev_w(), nmax, z)
+            assert T.shape == U.shape == V.shape == W.shape == (nmax + 1,) + z.shape
+            for n in range(nmax + 1):
+                np.testing.assert_allclose(T[n], eval_chebyt(n, z), rtol=rtol)
+                np.testing.assert_allclose(U[n], eval_chebyu(n, z), rtol=rtol)
+                # V_n = U_n - U_{n-1}, W_n = U_n + U_{n-1}
+                um1 = eval_chebyu(n - 1, z) if n else 0.0
+                np.testing.assert_allclose(V[n], eval_chebyu(n, z) - um1, rtol=rtol)
+                np.testing.assert_allclose(W[n], eval_chebyu(n, z) + um1, rtol=rtol)
 
 
-def test_legendre_and_hermite_vs_scipy():
-    P = family_matrix(legendre(), 8, XGRID)
+def test_legendre_and_hermite_vs_scipy(complex_grid):
+    for z, rtol in points_and_rtol(complex_grid):
+        for nmax in (8,) + NMAXES:
+            P = family_matrix(legendre(), nmax, z)
+            H = family_matrix(hermite(), nmax, z)
+            # scipy's eval_hermite is real-only; numpy's Hermite series also
+            # takes complex points
+            Href = hermval(z, np.eye(nmax + 1))
+            assert P.shape == H.shape == (nmax + 1,) + z.shape
+            for n in range(nmax + 1):
+                np.testing.assert_allclose(P[n], eval_legendre(n, z), rtol=rtol,
+                                           atol=1e-14)
+                np.testing.assert_allclose(H[n], Href[n], rtol=1e-12)
     H = family_matrix(hermite(), 8, XGRID)
     for n in range(9):
-        np.testing.assert_allclose(P[n], eval_legendre(n, XGRID), rtol=1e-12,
-                                   atol=1e-14)
         np.testing.assert_allclose(H[n], eval_hermite(n, XGRID), rtol=1e-12)
 
 
 @pytest.mark.parametrize("alpha,sign", [(0.0, 1), (0.0, -1), (1.5, 1), (1.5, -1)])
-def test_jacobi_half_vs_scipy(alpha, sign):
+def test_jacobi_half_vs_scipy(alpha, sign, complex_grid):
     fam = jacobi_half(alpha, sign)
-    J = family_matrix(fam, 8, XGRID)
-    for n in range(9):
-        np.testing.assert_allclose(
-            J[n], eval_jacobi(n, alpha + 0.5, sign * 0.5, XGRID),
-            rtol=1e-12, atol=1e-13)
+    for z, rtol in points_and_rtol(complex_grid):
+        for nmax in (8,) + NMAXES:
+            J = family_matrix(fam, nmax, z)
+            assert J.shape == (nmax + 1,) + z.shape
+            for n in range(nmax + 1):
+                np.testing.assert_allclose(
+                    J[n], eval_jacobi(n, alpha + 0.5, sign * 0.5, z),
+                    rtol=rtol, atol=1e-13)
 
 
 def test_eval_family_single_degree(complex_grid):

@@ -43,6 +43,13 @@ def test_flat_masses(p21):
             2 * math.pi * p21.b, rel=1e-10)
 
 
+@pytest.mark.parametrize("make", [flat_measure, chebyshev_v_measure,
+                                  chebyshev_w_measure])
+def test_normalized_flat_type_rules_mass_one(p21, make):
+    # normalized = flat / (pi a b); the V/W flat mass 2 pi b is pi a b at a = 2
+    assert build_rule(make(p21, normalized=True)).mass == pytest.approx(1.0, rel=1e-13)
+
+
 def test_derived_rules_mass_one(p21):
     d = derived_params(p21)
     for mk in (b_minus_measure, b_plus_measure):

@@ -78,3 +78,10 @@ def test_other_geometry_agreement():
 def test_direct_rejects_large_N(p21):
     with pytest.raises(ValueError):
         selberg_direct(0.0, p21, 3)
+
+
+@pytest.mark.parametrize("route", [selberg_product, selberg_closed, selberg_compare])
+def test_nonfinite_log_raises(p21, route):
+    # at N = 700 the degree-699 monic norm overflows on both routes
+    with pytest.raises(ValueError, match="not finite"):
+        route(0.0, p21, 700)
