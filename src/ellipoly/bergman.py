@@ -16,7 +16,7 @@ import numpy as np
 
 from .geometry import EllipseParams, area_measure
 from .norms import monic_factor, monic_norm
-from .polynomials import gegenbauer_matrix, gegenbauer_norm, lnpoch, recurrence_coeffs
+from .polynomials import _gegenbauer_norms, _recurrence_table, gegenbauer_matrix, lnpoch
 from .quadrature import DEFAULT_N_ANGULAR, DEFAULT_N_RADIAL, build_rule
 from .selberg import _ensemble_weights
 
@@ -74,7 +74,7 @@ def orthonormal_values(alpha: float, p: EllipseParams, nmax: int, z) -> np.ndarr
     """Matrix of orthonormal basis values p_k(z), k = 0..nmax; rows are degrees."""
     zz = np.asarray(z, dtype=complex)
     C = gegenbauer_matrix(alpha, nmax, zz / p.c)
-    h = np.array([gegenbauer_norm(alpha, p, k) for k in range(nmax + 1)])
+    h = _gegenbauer_norms(alpha, p, nmax)
     return C / np.sqrt(h).reshape((nmax + 1,) + (1,) * zz.ndim)
 
 
@@ -84,7 +84,7 @@ def _orthonormal_derivatives(alpha: float, p: EllipseParams, nmax: int, z) -> np
     out = np.zeros((nmax + 1,) + zz.shape, dtype=complex)
     if nmax >= 1:
         Cup = gegenbauer_matrix(alpha + 1.0, nmax - 1, zz / p.c)
-        h = np.array([gegenbauer_norm(alpha, p, k) for k in range(nmax + 1)])
+        h = _gegenbauer_norms(alpha, p, nmax)
         scale = 2.0 * (1.0 + alpha) / (p.c * np.sqrt(h[1:]))
         out[1:] = scale.reshape((nmax,) + (1,) * zz.ndim) * Cup
     return out
@@ -193,16 +193,6 @@ class HessenbergMatrix:
         return np.sqrt(np.sum(np.abs(self.entries) ** 2, axis=0))
 
 
-def _hessenberg_gegenbauer_closed(basis: GegenbauerBasis, nmax: int) -> np.ndarray:
-    entries = np.zeros((nmax + 1, nmax), dtype=complex)
-    for n in range(nmax):
-        a_next, b_n = recurrence_coeffs(basis.alpha, basis.params, n)
-        entries[n + 1, n] = a_next
-        if n >= 1:
-            entries[n - 1, n] = b_n
-    return entries
-
-
 def hessenberg(basis, nmax: int, strategy: str = "auto",
                n_radial: int = DEFAULT_N_RADIAL,
                n_angular: int = DEFAULT_N_ANGULAR) -> HessenbergMatrix:
@@ -218,11 +208,13 @@ def hessenberg(basis, nmax: int, strategy: str = "auto",
     if isinstance(basis, GegenbauerBasis):
         label = f"gegenbauer(alpha={basis.alpha})"
         if strategy in ("auto", "closed"):
-            return HessenbergMatrix(
-                basis_label=label,
-                nmax=nmax,
-                entries=_hessenberg_gegenbauer_closed(basis, nmax),
-                strategy="closed")
+            a, b = _recurrence_table(basis.alpha, basis.params, nmax - 1)
+            n = np.arange(nmax)
+            entries = np.zeros((nmax + 1, nmax), dtype=complex)
+            entries[n + 1, n] = a
+            entries[n[:-1], n[1:]] = b[1:]
+            return HessenbergMatrix(basis_label=label, nmax=nmax, entries=entries,
+                                    strategy="closed")
         if strategy != "quadrature":
             raise ValueError(f"unknown strategy {strategy!r}")
     elif isinstance(basis, ChristoffelBasis):
@@ -280,13 +272,8 @@ def christoffel_entry_closed(basis: ChristoffelBasis, l: int, n: int) -> complex
         raise ValueError("closed entry is only defined for l <= n-2")
     alpha, p, v = basis.alpha, basis.params, basis.v
     pv, kv = _charge_values(basis, n + 2)
-
-    def ab(k: int) -> tuple[float, float]:
-        return recurrence_coeffs(alpha, p, k)
-
-    a_l1, b_l = ab(l)          # a_{l+1}, b_l (b_0 = 0)
-    _, b_l1 = ab(l + 1)        # b_{l+1}
-    _, b_l2 = ab(l + 2)        # b_{l+2}
+    a, b = _recurrence_table(alpha, p, l + 2)
+    a_l1, b_l, b_l1, b_l2 = a[l], b[l], b[l + 1], b[l + 2]   # b_0 = 0
     pi = pv                    # pi_k = p_k(v)
     pim1 = pi[l - 1] if l >= 1 else 0j
 

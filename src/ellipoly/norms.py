@@ -16,7 +16,6 @@ import numpy as np
 from .geometry import (
     EllipseParams,
     Measure,
-    MeasureKind,
     area_measure,
     b_minus_measure,
     b_plus_measure,
@@ -52,17 +51,6 @@ __all__ = [
     "log_monic_norm",
     "monic_norm",
 ]
-
-_CANONICAL_NORMALIZED = {
-    FamilyKind.GEGENBAUER: True,
-    FamilyKind.LEGENDRE: True,
-    FamilyKind.JACOBI_HALF: True,
-    FamilyKind.CHEBYSHEV_T: False,
-    FamilyKind.CHEBYSHEV_U: False,
-    FamilyKind.CHEBYSHEV_V: False,
-    FamilyKind.CHEBYSHEV_W: False,
-}
-
 
 def canonical_measure(family: PolynomialFamily, p: EllipseParams) -> Measure:
     """The weight on the ellipse under which the family is orthogonal.
@@ -101,10 +89,8 @@ def closed_norm(family: PolynomialFamily, p: EllipseParams, n: int,
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")
+    measure = canonical_measure(family, p)
     k = family.kind
-    if k not in _CANONICAL_NORMALIZED:
-        raise ValueError(f"no closed norm for family {k.value}")
-
     if k == FamilyKind.GEGENBAUER:
         value = gegenbauer_norm(family.alpha, p, n)
     elif k == FamilyKind.LEGENDRE:
@@ -114,11 +100,10 @@ def closed_norm(family: PolynomialFamily, p: EllipseParams, n: int,
     else:
         value = _chebyshev_norm(k, p, n)
 
-    canonical = _CANONICAL_NORMALIZED[k]
-    if normalized is None or normalized == canonical:
+    if normalized is None or normalized == measure.normalized:
         return value
-    factor = canonical_measure(family, p).flat_factor
-    return value * factor if canonical else value / factor
+    factor = measure.flat_factor
+    return value * factor if measure.normalized else value / factor
 
 
 def _jacobi_half_norm(alpha: float, sign: int, p: EllipseParams, n: int) -> float:
@@ -284,6 +269,8 @@ def log_monic_norm(alpha: float, p: EllipseParams, n: int,
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")
+    if not alpha > -1.0:
+        raise ValueError(f"alpha must exceed -1, got {alpha}")
     if method == "gegenbauer":
         return 2.0 * math.log(monic_factor(alpha, p, n)) + math.log(
             gegenbauer_norm(alpha, p, n))

@@ -256,15 +256,38 @@ def eval_coeffs(cv: CoefficientVector, z):
     return complex(acc) if scalar else acc
 
 
+def _gegenbauer_norms(alpha: float, p: EllipseParams, nmax: int) -> np.ndarray:
+    """h_0..h_nmax from one recurrence pass, non-finite past the double range."""
+    if not alpha > -1.0:
+        raise ValueError(f"alpha must exceed -1, got {alpha}")
+    k = np.arange(nmax + 1)
+    return (1.0 + alpha) / (1.0 + alpha + k) * gegenbauer_matrix(alpha, nmax, p.x_star).real
+
+
 def gegenbauer_norm(alpha: float, p: EllipseParams, n: int) -> float:
     """Squared norm of C_n^{(1+alpha)}(z/c) under the normalized weight dA_alpha:
 
         h_n = (1 + alpha)/(1 + alpha + n) * C_n^{(1+alpha)}(x_star).
+
+    Raises ValueError when h_n is beyond the double range.
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    cn = eval_gegenbauer(alpha, n, p.x_star).real
-    return (1.0 + alpha) / (1.0 + alpha + n) * cn
+    h = float(_gegenbauer_norms(alpha, p, n)[n])
+    if not math.isfinite(h):
+        raise ValueError(f"h_{n} is not finite ({h}) for alpha = {alpha}: C_{n}(x_star) overflows")
+    return h
+
+
+def _recurrence_table(alpha: float, p: EllipseParams, nmax: int) -> tuple[np.ndarray, np.ndarray]:
+    """a[n] = a_{n+1} and b[n] = b_n (b[0] = 0.0) for n <= nmax, from one norm ladder."""
+    h = _gegenbauer_norms(alpha, p, nmax + 1)
+    n = np.arange(nmax + 1)
+    a = p.c * (n + 1) / (2.0 * (n + alpha + 1)) * np.sqrt(h[1:] / h[:-1])
+    b = np.zeros(nmax + 1)
+    m = n[1:]
+    b[1:] = p.c * (m + 2 * alpha + 1) / (2.0 * (m + alpha + 1)) * np.sqrt(h[:-2] / h[1:-1])
+    return a, b
 
 
 def recurrence_coeffs(alpha: float, p: EllipseParams, n: int) -> tuple[float, float]:
@@ -276,14 +299,8 @@ def recurrence_coeffs(alpha: float, p: EllipseParams, n: int) -> tuple[float, fl
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    h_n = gegenbauer_norm(alpha, p, n)
-    h_up = gegenbauer_norm(alpha, p, n + 1)
-    a_next = p.c * (n + 1) / (2.0 * (n + alpha + 1)) * math.sqrt(h_up / h_n)
-    if n == 0:
-        return a_next, 0.0
-    h_dn = gegenbauer_norm(alpha, p, n - 1)
-    b_n = p.c * (n + 2 * alpha + 1) / (2.0 * (n + alpha + 1)) * math.sqrt(h_dn / h_n)
-    return a_next, b_n
+    a, b = _recurrence_table(alpha, p, n)
+    return float(a[n]), float(b[n])
 
 
 def gegenbauer_derivative(alpha: float, n: int, z):

@@ -22,7 +22,6 @@ from .geometry import (
     Measure,
     MeasureKind,
     base_params,
-    derived_params,
     joukowsky,
     quadratic_map,
 )
@@ -85,6 +84,9 @@ def _area_rule(p: EllipseParams, alpha: float, n_radial: int, n_angular: int):
     x, w = roots_jacobi(n_radial, alpha, 0.0)
     t = 0.5 * (x + 1.0)          # r^2 in (0, 1)
     u = w * 2.0 ** (-1.0 - alpha)  # so that sum u = integral of (1-t)^alpha dt
+    if not np.all(np.isfinite(u)):
+        raise ValueError(f"area rule weights are not finite for alpha = {alpha}: "
+                         f"roots_jacobi's 2^(alpha+1) weight scale overflows")
     r = np.sqrt(t)
     theta = 2.0 * np.pi * np.arange(n_angular // 2) / n_angular
     zhalf = p.a * np.outer(r, np.cos(theta)) + 1j * p.b * np.outer(r, np.sin(theta))

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import EllipseParams, area_measure
-from .norms import log_monic_norm
+from .norms import log_monic_norm, monic_factor
+from .polynomials import _gegenbauer_norms
 from .quadrature import build_rule
 
 __all__ = [
@@ -32,8 +33,13 @@ def _log_selberg(alpha: float, p: EllipseParams, N: int, method: str) -> float:
     if N < 1:
         raise ValueError("N must be at least 1")
     total = math.lgamma(N + 1)
-    for j in range(N):
-        total += log_monic_norm(alpha, p, j, method=method)
+    if method == "gegenbauer":
+        h = _gegenbauer_norms(alpha, p, N - 1)
+        for j in range(N):
+            total += 2.0 * math.log(monic_factor(alpha, p, j)) + math.log(h[j])
+    else:
+        for j in range(N):
+            total += log_monic_norm(alpha, p, j, method=method)
     if not math.isfinite(total):
         raise ValueError(f"log Z_N is not finite ({total}) for N = {N}: "
                          f"a monic norm overflows the double range")
@@ -49,8 +55,6 @@ def selberg_closed(alpha: float, p: EllipseParams, N: int) -> float:
     """log Z_N from the assembled closed form: Gamma-ratio prefactors times
     terminating 2F1 factors at argument -b^2/c^2 (all series terms positive,
     so the whole expression is a product of positive factors)."""
-    if not alpha > -1.0:
-        raise ValueError(f"alpha must exceed -1, got {alpha}")
     return _log_selberg(alpha, p, N, "hypergeometric")
 
 

@@ -21,6 +21,7 @@ from ellipoly import (
     hessenberg,
     make_params,
     monic_norm,
+    recurrence_coeffs,
     turan_determinant,
 )
 
@@ -178,3 +179,16 @@ def test_christoffel_norm_ladder_consistent(p21):
         k1 = bergman_kernel(0.7, p21, N + 2, basis.v, basis.v).real
         k0 = bergman_kernel(0.7, p21, N + 1, basis.v, basis.v).real
         assert ratio == pytest.approx(k1 / k0, rel=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [-0.5, 0.0, 1.2])
+def test_closed_hessenberg_is_recurrence_coeffs(p21, alpha):
+    nmax = 30
+    H = hessenberg(GegenbauerBasis(alpha, p21), nmax, strategy="closed").entries
+    expect = np.zeros((nmax + 1, nmax), dtype=complex)
+    for n in range(nmax):
+        a_next, b_n = recurrence_coeffs(alpha, p21, n)
+        expect[n + 1, n] = a_next
+        if n >= 1:
+            expect[n - 1, n] = b_n
+    assert np.array_equal(H, expect)

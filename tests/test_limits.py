@@ -107,3 +107,9 @@ def test_reports_carry_parameters(p21):
     assert rep.tolerance == 1e-2
     d = disc_limit(1.0, 1, 1, 0.0, (0.9, 0.99))
     assert "closed_diag" in d.extras or d.extras  # formula recorded for diagonals
+
+
+def test_hermite_beyond_area_rule_range_raises(p21):
+    # the Gauss-Jacobi weights of the area rule overflow for alpha above ~1023
+    with pytest.raises(ValueError, match="not finite"):
+        hermite_limit(p21, 1, 1, (10.0, 1e4))

@@ -17,12 +17,14 @@ from ellipoly import (
     chebyshev_w,
     closed_norm,
     eval_coeffs,
+    eval_gegenbauer,
     flat_measure,
     gegenbauer,
     gegenbauer_coeffs,
     gegenbauer_norm,
     gram_matrix,
     gram_schmidt,
+    hermite,
     hessenberg,
     jacobi_half,
     legendre,
@@ -180,3 +182,34 @@ def test_quadrature_hessenberg_matches_einsum_reference(p21):
                    n_radial=12, n_angular=32).entries
     assert H.shape == (nmax + 1, nmax)
     assert np.max(np.abs(H - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("alpha", [-0.5, 0.0, 0.7, 2.5])
+def test_gegenbauer_norm_is_the_single_degree_closed_form(alpha):
+    p = make_params(1.0, 0.6)
+    for k in range(81):
+        expect = (1.0 + alpha) / (1.0 + alpha + k) * eval_gegenbauer(alpha, k, p.x_star).real
+        assert gegenbauer_norm(alpha, p, k) == expect
+
+
+@pytest.mark.parametrize("call", [
+    lambda p: gegenbauer_norm(0.0, p, 700),
+    lambda p: log_monic_norm(0.0, p, 660),
+    lambda p: closed_norm(gegenbauer(0.0), p, 700),
+], ids=["gegenbauer_norm", "log_monic_norm", "closed_norm"])
+def test_norm_beyond_double_range_raises(p21, call):
+    # at p(2,1) and alpha = 0, C_n(x_star) overflows the forward recurrence from n = 640
+    with pytest.raises(ValueError, match=r"h_\d+ is not finite"):
+        call(p21)
+
+
+@pytest.mark.parametrize("method", ["gegenbauer", "hypergeometric"])
+@pytest.mark.parametrize("alpha", [-1.3, -2.5])
+def test_log_monic_norm_rejects_alpha_at_most_minus_one(p21, method, alpha):
+    with pytest.raises(ValueError, match="alpha must exceed -1"):
+        log_monic_norm(alpha, p21, 2, method)
+
+
+def test_closed_norm_rejects_hermite(p21):
+    with pytest.raises(ValueError, match="hermite has no canonical planar weight"):
+        closed_norm(hermite(), p21, 2)

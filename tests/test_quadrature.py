@@ -165,3 +165,8 @@ def test_contour_identity_other_geometry():
         val = contour_check(p, n, n)
         closed = 1j * math.pi * (n + 1) / 2 * (q2 ** (n + 1) - q2 ** -(n + 1))
         assert val == pytest.approx(closed, rel=1e-11)
+
+
+def test_area_rule_beyond_double_range_raises(p21):
+    with pytest.raises(ValueError, match=r"not finite for alpha = 10000\.0"):
+        build_rule(area_measure(p21, 1e4))

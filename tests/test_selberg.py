@@ -10,6 +10,7 @@ import math
 import pytest
 
 from ellipoly import (
+    log_monic_norm,
     make_params,
     monic_norm,
     selberg_closed,
@@ -85,3 +86,12 @@ def test_nonfinite_log_raises(p21, route):
     # at N = 700 the degree-699 monic norm overflows on both routes
     with pytest.raises(ValueError, match="not finite"):
         route(0.0, p21, 700)
+
+
+@pytest.mark.parametrize("alpha", [-0.5, 0.0, 1.5])
+def test_product_is_the_sum_of_log_monic_norms(p21, alpha):
+    for N in range(1, 41):
+        expect = math.lgamma(N + 1)
+        for j in range(N):
+            expect += log_monic_norm(alpha, p21, j)
+        assert selberg_product(alpha, p21, N) == expect
