@@ -245,20 +245,13 @@ def hessenberg(basis, nmax: int, strategy: str = "auto",
 
 def bandwidth(H: HessenbergMatrix, tol: float) -> int:
     """Smallest d such that |c_{l,n}| <= tol * ||column n|| for all l < n+1-d;
-    nmax+1 when no finite band exists at this tolerance."""
+    a matrix with no negligible entry above the subdiagonal gives nmax.
+    NaN entries never count as above the tolerance."""
     if not tol > 0:
         raise ValueError("tol must be positive")
-    norms = H.column_norms()
-    for d in range(H.nmax + 2):
-        ok = True
-        for n in range(H.nmax):
-            top = n + 1 - d
-            if top > 0 and np.any(np.abs(H.entries[:top, n]) > tol * norms[n]):
-                ok = False
-                break
-        if ok:
-            return d
-    return H.nmax + 1
+    l, n = np.indices(H.entries.shape)
+    above = np.abs(H.entries) > tol * H.column_norms()
+    return int(np.max(n + 1 - l, where=above, initial=0))
 
 
 def christoffel_entry_closed(basis: ChristoffelBasis, l: int, n: int) -> complex:

@@ -3,7 +3,9 @@
 Every family supported by the library has an explicit squared-norm formula
 under its canonical weight on the ellipse; gram_matrix checks the full
 Kronecker-delta structure against quadrature.  For weights without a known
-basis, gram_schmidt orthonormalizes the monomials directly.
+basis, gram_schmidt builds the orthonormal polynomials by Arnoldi on the
+nodes of a quadrature rule, so they are orthonormal under that rule, custom
+ones such as a point-charge weight included.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from .quadrature import (
     DEFAULT_N_RADIAL,
     QuadratureRule,
     build_rule,
-    moment_table,
 )
 
 __all__ = [
@@ -86,19 +87,25 @@ def closed_norm(family: PolynomialFamily, p: EllipseParams, n: int,
     With normalized=None each family reports in its canonical convention
     (unit-mass measure for the area-type weights, flat d^2z for Chebyshev);
     pass True/False to force a convention, converted via Measure.flat_factor.
+    Raises ValueError when the norm is not finite in double precision.
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")
     measure = canonical_measure(family, p)
     k = family.kind
-    if k == FamilyKind.GEGENBAUER:
-        value = gegenbauer_norm(family.alpha, p, n)
-    elif k == FamilyKind.LEGENDRE:
-        value = gegenbauer_norm(-0.5, p, n)
-    elif k == FamilyKind.JACOBI_HALF:
-        value = _jacobi_half_norm(family.alpha, family.sign, p, n)
-    else:
-        value = _chebyshev_norm(k, p, n)
+    try:
+        if k == FamilyKind.GEGENBAUER:
+            value = gegenbauer_norm(family.alpha, p, n)
+        elif k == FamilyKind.LEGENDRE:
+            value = gegenbauer_norm(-0.5, p, n)
+        elif k == FamilyKind.JACOBI_HALF:
+            value = _jacobi_half_norm(family.alpha, family.sign, p, n)
+        else:
+            value = _chebyshev_norm(k, p, n)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"{k.value} norm h_{n} is not finite in double precision")
 
     if normalized is None or normalized == measure.normalized:
         return value
@@ -208,44 +215,37 @@ def gram_matrix(family: PolynomialFamily, measure: Measure, nmax: int,
 
 def gram_schmidt(measure: Measure, nmax: int,
                  rule: QuadratureRule | None = None) -> list[np.ndarray]:
-    """Orthonormal polynomials under the measure by modified Gram-Schmidt
-    on the monomials, with one reorthogonalization pass.
+    """Orthonormal polynomials under the rule, by Arnoldi on its nodes (the
+    discretized Stieltjes procedure).
 
     Returns coefficient vectors: entry n holds the coefficients of
     z^0 .. z^n of p_n, with real positive leading coefficient, and
-    <p_n, p_m> = delta under the measure.  The moment matrix is prescaled
-    by its diagonal to tame conditioning; a numerically rank-deficient
-    moment matrix raises LinAlgError.
+    <p_n, p_m> = delta under the rule's weights, custom rules such as a
+    charged weight included.  Step n orthogonalizes z p_{n-1} against
+    p_0 .. p_{n-1} on the nodes, with one reorthogonalization pass, and
+    applies the same steps to the monomial coefficients.  A new vector whose
+    norm falls below 1e-12 of its norm before orthogonalization raises
+    LinAlgError naming the degree.
     """
     if rule is None:
         rule = build_rule(measure)
-    M = moment_table(nmax, rule)
-    M = 0.5 * (M + M.conj().T)
-    d = np.sqrt(np.diag(M).real)
-    if not np.all(d > 0.0):
-        raise np.linalg.LinAlgError("moment matrix has nonpositive diagonal")
-    Ms = M / np.outer(d, d)
-
-    basis = np.zeros((nmax + 1, nmax + 1), dtype=complex)
+    z, w = rule.nodes, rule.weights
+    Q = np.zeros((nmax + 1, z.size), dtype=complex)
+    C = np.zeros((nmax + 1, nmax + 1), dtype=complex)
+    v, c = np.ones(z.size, dtype=complex), np.eye(1, nmax + 1)[0]
     for n in range(nmax + 1):
-        v = np.zeros(nmax + 1, dtype=complex)
-        v[n] = 1.0
+        if n:
+            v, c = z * Q[n - 1], np.roll(C[n - 1], 1)
+        before = math.sqrt(w @ np.abs(v) ** 2)
         for _ in range(2):
-            for l in range(n):
-                v = v - (basis[:, l].conj() @ (Ms @ v)) * basis[:, l]
-        nrm2 = (v.conj() @ (Ms @ v)).real
-        if nrm2 <= 1e-24:
-            raise np.linalg.LinAlgError(
-                f"moment matrix numerically rank-deficient at degree {n}")
-        basis[:, n] = v / math.sqrt(nrm2)
-
-    out = []
-    for n in range(nmax + 1):
-        coeffs = basis[: n + 1, n] / d[: n + 1]
-        lead = coeffs[n]
-        coeffs = coeffs * (abs(lead) / lead)
-        out.append(coeffs)
-    return out
+            h = np.conj(Q[:n] @ np.conj(w * v))    # h_k = <v, p_k>
+            v = v - h @ Q[:n]
+            c = c - h @ C[:n]
+        nrm = math.sqrt(w @ np.abs(v) ** 2)
+        if not nrm > 1e-12 * before:
+            raise np.linalg.LinAlgError(f"rule is numerically rank-deficient at degree {n}")
+        Q[n], C[n] = v / nrm, c / nrm
+    return [C[n, : n + 1] for n in range(nmax + 1)]
 
 
 def monic_factor(alpha: float, p: EllipseParams, n: int) -> float:

@@ -149,6 +149,10 @@ def test_bandwidth_synthetic_cases():
     full = np.ones((nmax + 1, nmax))
     assert bandwidth(_synthetic(full), 1e-12) == nmax
 
+    hole = tri.copy()
+    hole[0, nmax - 1] = np.nan   # a NaN never counts as above the tolerance
+    assert bandwidth(_synthetic(hole), 1e-12) == 2
+
 
 def test_turan_zeros_at_edges_and_nonzero_inside():
     for alpha in (-0.5, 0.0, 1.3):

@@ -112,6 +112,14 @@ def test_nonfinite_csv_exits_one(args):
     assert "Traceback" not in p.stderr
 
 
+def test_norm_overflow_exits_one():
+    """q^(2n+2) in the Chebyshev-U norm leaves the double range at n = 700."""
+    p = run_cli("norms", "--family", "chebyshev-u", "--a", "2", "--b", "1", "--n", "700")
+    assert p.returncode == 1
+    assert "not finite" in p.stderr
+    assert "Traceback" not in p.stderr
+
+
 def test_selberg_value_overflow_exits_one():
     """log Z_300 is finite but Z_300 itself exceeds the double range."""
     p = run_cli("selberg", "--alpha", "0", "--a", "2", "--b", "1", "--N", "300")

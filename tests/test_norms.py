@@ -5,8 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ellipoly import (
+    ChristoffelBasis,
     GegenbauerBasis,
     area_measure,
     build_rule,
@@ -143,6 +146,81 @@ def test_gram_schmidt_rank_deficiency_raises(p21):
         gram_schmidt(area_measure(p21, 0.0), 40, rule=rule)
 
 
+def _values(coeffs, z):
+    """Rows of Horner values of gram_schmidt's coefficient vectors at z."""
+    return np.array([eval_coeffs(CoefficientVector(alpha=None, n=len(c) - 1, coeffs=c), z)
+                     for c in coeffs])
+
+
+def _interior(p):
+    """Five points at 0.8 of the way from the centre to the boundary."""
+    t = np.array([0.3, 1.4, 2.5, 3.9, 5.2])
+    return 0.8 * (p.a * np.cos(t) + 1j * p.b * np.sin(t))
+
+
+def _worst_relative_error(coeffs, alpha, p):
+    """max over n of max_z |gs_n(z) - p_n(z)| / max_z |p_n(z)| at _interior(p)."""
+    z = _interior(p)
+    P = orthonormal_values(alpha, p, len(coeffs) - 1, z)
+    err = np.max(np.abs(_values(coeffs, z) - P), axis=1)
+    return float(np.max(err / np.max(np.abs(P), axis=1)))
+
+
+def _charged(rule, v):
+    return dataclasses.replace(rule, weights=rule.weights * np.abs(v - rule.nodes) ** 2)
+
+
+@pytest.mark.parametrize("nmax", [2, 3, 5, 9])
+@pytest.mark.parametrize("moved", ["charge", "shift"])
+def test_gram_schmidt_orthonormal_under_complex_moments(p21, moved, nmax):
+    """A charge at 0.3+0.4i in the weight, or the nodes shifted by 0.3i, gives
+    a rule whose moments <z^p, z^q> are complex: orthonormality must hold
+    under the rule itself."""
+    rule = build_rule(area_measure(p21, 1.3))
+    if moved == "charge":
+        rule = _charged(rule, 0.3 + 0.4j)
+    else:
+        rule = dataclasses.replace(rule, nodes=rule.nodes + 0.3j)
+    P = _values(gram_schmidt(rule.measure, nmax, rule=rule), rule.nodes)
+    G = (P.conj() * rule.weights) @ P.T
+    assert np.max(np.abs(G - np.eye(nmax + 1))) < 1e-12
+
+
+@pytest.mark.parametrize("alpha,nmax,tol", [
+    (0.0, 40, 5e-9),
+    (2.5, 40, 5e-9),
+    (30.0, 40, 5e-9),
+    (0.0, 60, 1e-6),   # the floor of a monomial representation at this degree
+])
+def test_gram_schmidt_accuracy_at_high_degree(p21, alpha, nmax, tol):
+    gs = gram_schmidt(area_measure(p21, alpha), nmax)
+    assert _worst_relative_error(gs, alpha, p21) < tol
+
+
+@pytest.mark.parametrize("alpha,v", [
+    (0.0, 1.5), (1.3, 0.3 + 0.4j), (-0.5, 2.5 - 0.2j), (-0.9, 0.1 + 0.05j),
+])
+def test_gram_schmidt_reproduces_christoffel_hessenberg(p21, alpha, v):
+    """P^H W (z P) from gram_schmidt under the charged rule against the
+    Christoffel-formula Hessenberg, every entry, including the diagonal and
+    superdiagonal that no closed form covers."""
+    rule = _charged(build_rule(area_measure(p21, alpha)), v)
+    P = _values(gram_schmidt(rule.measure, 9, rule=rule), rule.nodes)
+    entries = (P.conj() * rule.weights) @ (rule.nodes * P[:9]).T
+    H = hessenberg(ChristoffelBasis(alpha, p21, v), 9)
+    assert np.max(np.abs(entries - H.entries) / H.column_norms()) < 1e-11
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=15)
+@given(ratio=st.floats(0.2, 0.95),
+       alpha=st.floats(-0.9, 30.0, exclude_min=True),
+       nmax=st.integers(0, 24))
+def test_gram_schmidt_matches_closed_basis(ratio, alpha, nmax):
+    p = make_params(1.0, ratio)
+    gs = gram_schmidt(area_measure(p, alpha), nmax)
+    assert _worst_relative_error(gs, alpha, p) < 1e-10
+
+
 def test_gram_matrix_records_rule_and_errors(p21):
     fam = jacobi_half(1.5, -1)
     from ellipoly import derived_params
@@ -196,7 +274,14 @@ def test_gegenbauer_norm_is_the_single_degree_closed_form(alpha):
     lambda p: gegenbauer_norm(0.0, p, 700),
     lambda p: log_monic_norm(0.0, p, 660),
     lambda p: closed_norm(gegenbauer(0.0), p, 700),
-], ids=["gegenbauer_norm", "log_monic_norm", "closed_norm"])
+    lambda p: closed_norm(chebyshev_t(), p, 700),
+    lambda p: closed_norm(chebyshev_u(), p, 700),
+    lambda p: closed_norm(chebyshev_v(), p, 700),
+    lambda p: closed_norm(chebyshev_w(), p, 700),
+    lambda p: closed_norm(jacobi_half(0.0, -1), p, 700),
+    lambda p: closed_norm(jacobi_half(0.0, 1), p, 700),
+], ids=["gegenbauer_norm", "log_monic_norm", "closed_norm", "chebyshev_t", "chebyshev_u",
+        "chebyshev_v", "chebyshev_w", "jacobi_half_minus", "jacobi_half_plus"])
 def test_norm_beyond_double_range_raises(p21, call):
     # at p(2,1) and alpha = 0, C_n(x_star) overflows the forward recurrence from n = 640
     with pytest.raises(ValueError, match=r"h_\d+ is not finite"):
