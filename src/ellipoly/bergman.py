@@ -299,15 +299,15 @@ def turan_determinant(alpha: float, l: int, x: float) -> float:
     return float(t1 * t1 - t0 * t2)
 
 
-def heine_check(alpha: float, p: EllipseParams, N: int,
-                n_radial: int = 24, n_angular: int = 48) -> float:
+def heine_check(alpha: float, p: EllipseParams, N: int) -> float:
     """Deviation between the ensemble average of prod_i (z - z_i) over the
     N-point determinantal weight prod_{i<j}|z_i - z_j|^2 prod_i dA_alpha(z_i)
     and the monic polynomial ptilde_N, maximized over a grid in the ellipse.
 
-    Only N in {1, 2} are computed directly (2N-dimensional tensor rule).
+    Only N in {1, 2} are computed directly, by a 2N-dimensional tensor rule
+    exact for the average's degree 2N - 1 per variable: the residual is roundoff.
     """
-    z, W = _ensemble_weights(alpha, p, N, n_radial, n_angular)
+    z, W = _ensemble_weights(alpha, p, N)
 
     gx = np.linspace(-0.8 * p.a, 0.8 * p.a, 5)
     gy = np.linspace(-0.8 * p.b, 0.8 * p.b, 5)

@@ -97,6 +97,8 @@ def _emit(args, text: str) -> None:
 def _cmd_eval(args) -> int:
     fam = _family(args.family, args.alpha)
     p = make_params(args.a, args.b)
+    if len(args.z) > 2:
+        raise ValueError(f"--z takes RE [IM], got {len(args.z)} numbers")
     z = complex(args.z[0], args.z[1] if len(args.z) > 1 else 0.0)
     arg = z / p.c if args.scale_by_c else z
     val = eval_family(fam, args.n, arg)
@@ -143,6 +145,8 @@ def _cmd_norms(args) -> int:
     convention = args.convention
     if convention == "canonical":
         convention = "normalized" if canonical_measure(fam, p).normalized else "flat"
+    if args.n is None and args.nmax < 0:
+        raise ValueError(f"--nmax must be nonnegative, got {args.nmax}")
     ns = [args.n] if args.n is not None else list(range(args.nmax + 1))
     values = [closed_norm(fam, p, n, normalized=convention == "normalized")
               for n in ns]
@@ -181,15 +185,14 @@ def _cmd_hessenberg(args) -> int:
 
 def _cmd_selberg(args) -> int:
     p = make_params(args.a, args.b)
-    res = selberg_compare(args.alpha, p, args.N, direct=args.direct,
-                          n_radial=args.n_radial, n_angular=args.n_angular)
+    res = selberg_compare(args.alpha, p, args.N, direct=args.direct)
     try:
         value = math.exp(res.log_product)
     except OverflowError:
         raise ValueError(f"Z_N = exp({res.log_product!r}) overflows the double "
                          f"range; only log Z_N is representable") from None
     payload = {
-        "meta": _meta(args, p, rule=args.direct, convention="normalized"),
+        "meta": _meta(args, p, convention="normalized"),
         "data": {
             "alpha": res.alpha, "N": res.N, "sign": res.sign,
             "log_closed": res.log_closed, "log_product": res.log_product,
@@ -207,22 +210,19 @@ def _cmd_limits(args) -> int:
     seq = tuple(args.sequence)
     if args.regime == "hermite":
         p = make_params(args.a, args.b)
-        rep = hermite_limit(p, args.n, args.m, seq or (10.0, 100.0, 1000.0),
-                            n_radial=args.n_radial, n_angular=args.n_angular)
+        rep = hermite_limit(p, args.n, args.m, seq or (10.0, 100.0, 1000.0))
     elif args.regime == "disc":
         rep = disc_limit(args.a, args.n, args.m, args.alpha,
-                         seq or (0.9 * args.a, 0.99 * args.a, 0.999 * args.a),
-                         n_radial=args.n_radial, n_angular=args.n_angular)
+                         seq or (0.9 * args.a, 0.99 * args.a, 0.999 * args.a))
     else:
         rep = realline_limit(args.a, args.n, args.m, args.alpha,
-                             seq or (0.3, 0.1, 0.03),
-                             n_radial=args.n_radial, n_angular=args.n_angular)
+                             seq or (0.3, 0.1, 0.03))
     if args.format == "csv":
         rows = list(zip(rep.parameters, rep.residuals))
         _emit(args, write_csv(["parameter", "residual"], rows))
         return 0
     payload = {
-        "meta": _meta(args, rule=True),
+        "meta": _meta(args),
         "data": {
             "regime": rep.regime, "n": rep.n, "m": rep.m,
             "parameters": rep.parameters, "values": rep.values,
@@ -353,8 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--direct", action="store_true",
                     help="also run the tensor quadrature (N <= 2)")
     _add_geometry(sp)
-    sp.add_argument("--n-radial", type=int, default=24)
-    sp.add_argument("--n-angular", type=int, default=48)
     _add_output(sp)
     sp.set_defaults(func=_cmd_selberg)
 
@@ -368,7 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="parameter sequence (alphas or b values)")
     sp.add_argument("--format", choices=["json", "csv"], default="json")
     _add_geometry(sp)
-    _add_rule(sp)
     _add_output(sp)
     sp.set_defaults(func=_cmd_limits)
 

@@ -267,20 +267,15 @@ def weight_density(m: Measure, z) -> float:
     z = complex(z)
     if ellipse_h(p, z) >= 1.0:
         raise ValueError(f"point {z} is not inside the open ellipse")
-    pi_ab = math.pi * p.a * p.b
-
     if m.kind == MeasureKind.AREA_ALPHA:
         base = (1.0 - ellipse_h(p, z)) ** m.alpha
-        return (1.0 + m.alpha) * base if m.normalized else pi_ab * base
-    if m.kind == MeasureKind.B_MINUS:
+    elif m.kind == MeasureKind.B_MINUS:
         if z == -p.c:
             raise ValueError("B^- weight is singular at w = -c")
         base = (1.0 - focal_j(p, z)) ** m.alpha / abs(p.c + z)
-        return (1.0 + m.alpha) * p.a / 2.0 * base if m.normalized else pi_ab * base
-    if m.kind == MeasureKind.B_PLUS:
+    elif m.kind == MeasureKind.B_PLUS:
         base = (1.0 - focal_j(p, z)) ** m.alpha
-        return (1.0 + m.alpha) * (2.0 + m.alpha) / 2.0 * base if m.normalized else pi_ab * base
-    if m.kind == MeasureKind.CHEBYSHEV_T:
+    elif m.kind == MeasureKind.CHEBYSHEV_T:
         if z == p.c or z == -p.c:
             raise ValueError("Chebyshev-T weight is singular at the foci")
         base = 1.0 / abs(z * z - p.c * p.c)
@@ -294,4 +289,6 @@ def weight_density(m: Measure, z) -> float:
         base = 1.0 / abs(p.c + z)
     else:  # FLAT
         base = 1.0
-    return base if m.normalized else pi_ab * base
+    # base is the flat d^2z density, and d^2z = pi a b dA
+    flat = math.pi * p.a * p.b * base
+    return flat / m.flat_factor if m.normalized else flat

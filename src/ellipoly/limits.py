@@ -10,6 +10,9 @@ orthogonality).  Each experiment reports the residual at every step of the
 sequence; the verdict requires the residuals to decrease and the final one
 to beat the tolerance, with an explicit noise floor so that entries that are
 exactly zero by parity or orthogonality do not flip the monotonicity check.
+
+Each entry integrates a polynomial of degree n + m, so every rule here is
+sized from that degree and exact to roundoff; extras record the sizes.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from scipy.special import roots_jacobi
 from .geometry import EllipseParams, area_measure, make_params
 from .norms import monic_factor
 from .polynomials import gegenbauer_matrix, lnpoch
-from .quadrature import DEFAULT_N_ANGULAR, DEFAULT_N_RADIAL, build_rule
+from .quadrature import _exact_size, build_rule
 
 __all__ = [
     "LimitRegime",
@@ -63,16 +66,15 @@ class LimitReport:
     residuals: tuple[float, ...]
     tolerance: float
     noise_floor: float
-    verdict: bool
     extras: dict = field(default_factory=dict)
 
-
-def _verdict(residuals, tol: float, floor: float) -> bool:
-    ok_final = residuals[-1] <= tol
-    for prev, cur in zip(residuals, residuals[1:]):
-        if cur >= prev and not (cur <= floor and prev <= floor):
-            return False
-    return ok_final
+    @property
+    def verdict(self) -> bool:
+        res, floor = self.residuals, self.noise_floor
+        for prev, cur in zip(res, res[1:]):
+            if cur >= prev and not (cur <= floor and prev <= floor):
+                return False
+        return res[-1] <= self.tolerance
 
 
 def _entry_residual(value: complex, target: complex, diagonal: bool) -> float:
@@ -83,20 +85,24 @@ def _entry_residual(value: complex, target: complex, diagonal: bool) -> float:
     return abs(value - target)
 
 
-def _planar_entry(p: EllipseParams, alpha: float, n: int, m: int,
-                  n_radial: int, n_angular: int) -> complex:
+def _entry_size(n: int, m: int) -> int:
+    """Rule size exact for the degree-(n+m) entry; rejects negative degrees."""
+    if n < 0 or m < 0:
+        raise ValueError("degrees must be nonnegative")
+    return _exact_size(n + m)
+
+
+def _planar_entry(p: EllipseParams, alpha: float, n: int, m: int) -> complex:
     """<C_n(z/c), C_m(z/c)>_alpha under dA_alpha on the ellipse p, by the
-    area rule."""
-    rule = build_rule(area_measure(p, alpha), n_radial=n_radial,
-                      n_angular=n_angular)
+    k x 2k area rule that is exact for degree n + m."""
+    k = _entry_size(n, m)
+    rule = build_rule(area_measure(p, alpha), n_radial=k, n_angular=2 * k)
     C = gegenbauer_matrix(alpha, max(n, m), rule.nodes / p.c)
     return np.sum(rule.weights * C[n] * np.conj(C[m]))
 
 
 def hermite_limit(p: EllipseParams, n: int, m: int, alpha_sequence,
-                  tolerance: float = 1e-2, noise_floor: float = 1e-8,
-                  n_radial: int = DEFAULT_N_RADIAL,
-                  n_angular: int = DEFAULT_N_ANGULAR) -> LimitReport:
+                  tolerance: float = 1e-2, noise_floor: float = 1e-8) -> LimitReport:
     """alpha -> infinity: the rescaled Gegenbauer inner products
 
         I_nm(alpha) = pi a b n! m! (1+alpha)^{-(n+m)/2} <C_n(z/c), C_m(z/c)>_alpha
@@ -109,51 +115,44 @@ def hermite_limit(p: EllipseParams, n: int, m: int, alpha_sequence,
     magnitude (roughly (1+alpha)^n, about 1e-10 at alpha = 1e3).  The noise
     floor exempts those entries from the monotone-decrease requirement.
     """
+    k = _entry_size(n, m)
     alphas = tuple(float(t) for t in alpha_sequence)
     if len(alphas) < 2 or any(t2 <= t1 for t1, t2 in zip(alphas, alphas[1:])):
         raise ValueError("alpha_sequence must be strictly increasing")
     target = math.pi * math.exp(math.lgamma(n + 1)) * p.a * p.b \
         * (2.0 * p.x_star) ** n if n == m else 0.0
 
-    values = []
-    for alpha in alphas:
-        g = _planar_entry(p, alpha, n, m, n_radial, n_angular)
-        scale = math.pi * p.a * p.b * math.exp(
-            math.lgamma(n + 1) + math.lgamma(m + 1)
-            - 0.5 * (n + m) * math.log1p(alpha))
-        values.append(complex(scale * g))
+    lfact = math.lgamma(n + 1) + math.lgamma(m + 1)
+    values = [complex(math.pi * p.a * p.b
+                      * math.exp(lfact - 0.5 * (n + m) * math.log1p(alpha))
+                      * _planar_entry(p, alpha, n, m)) for alpha in alphas]
     residuals = tuple(_entry_residual(v, target, n == m) for v in values)
     return LimitReport(regime=LimitRegime.HERMITE_PLANE, n=n, m=m,
                        parameters=alphas, values=tuple(values), target=target,
                        residuals=residuals, tolerance=tolerance,
                        noise_floor=noise_floor,
-                       verdict=_verdict(residuals, tolerance, noise_floor),
                        extras={"residual_kind": "relative diag / absolute offdiag",
+                               "rule_nodes": [k, 2 * k],
                                "rate": "O(1/alpha)"})
 
 
-def disc_reference(a: float, alpha: float, n: int, m: int,
-                   n_radial: int = DEFAULT_N_RADIAL,
-                   n_angular: int = DEFAULT_N_ANGULAR) -> complex:
+def disc_reference(a: float, alpha: float, n: int, m: int) -> complex:
     """<z^n, z^m> on the disc |z| < a under (1+alpha)(1-|z/a|^2)^alpha dA,
-    by polar-coordinate quadrature (Gauss-Jacobi radially, trapezoid in
-    angle).  The closed diagonal is
+    by polar-coordinate quadrature (k-node Gauss-Jacobi radially, 2k-point
+    trapezoid in angle, exact for degree n + m).  The closed diagonal is
     Gamma(n+1) Gamma(1+alpha) (1+alpha) a^{2n} / (Gamma(1+alpha+n)(1+alpha+n)).
     """
-    x, w = roots_jacobi(n_radial, alpha, 0.0)
+    k = _entry_size(n, m)
+    x, w = roots_jacobi(k, alpha, 0.0)
     t = 0.5 * (x + 1.0)
     u = w * 2.0 ** (-1.0 - alpha) * (1.0 + alpha)
-    theta = 2.0 * np.pi * np.arange(n_angular) / n_angular
-    r = a * np.sqrt(t)
-    z = np.outer(r, np.exp(1j * theta)).ravel()
-    wts = (u / n_angular)[:, None] * np.ones(n_angular)
-    return complex(np.sum(wts.ravel() * z ** n * np.conj(z) ** m))
+    theta = np.pi * np.arange(2 * k) / k
+    z = np.outer(a * np.sqrt(t), np.exp(1j * theta))
+    return complex(np.sum((u / (2 * k))[:, None] * z ** n * np.conj(z) ** m))
 
 
 def disc_limit(a: float, n: int, m: int, alpha: float, b_sequence,
-               tolerance: float = 1e-3, noise_floor: float = 1e-12,
-               n_radial: int = DEFAULT_N_RADIAL,
-               n_angular: int = DEFAULT_N_ANGULAR) -> LimitReport:
+               tolerance: float = 1e-3, noise_floor: float = 1e-12) -> LimitReport:
     """b -> a: the monic inner products <ptilde_n, ptilde_m> under dA_alpha
     on the ellipse (a, b) approach the disc moments <z^n, z^m> of radius a
     (the monic polynomials degenerate to monomials; truncated-unitary
@@ -163,19 +162,17 @@ def disc_limit(a: float, n: int, m: int, alpha: float, b_sequence,
     which the prefactor-free absolute error tracks cleanly while every
     off-diagonal entry is an exact zero on both sides.
     """
+    k = _entry_size(n, m)
     bs = tuple(float(t) for t in b_sequence)
     if len(bs) < 2 or any(t2 <= t1 for t1, t2 in zip(bs, bs[1:])):
         raise ValueError("b_sequence must be strictly increasing toward a")
     if bs[-1] >= a:
         raise ValueError("b_sequence must stay below a")
-    target = disc_reference(a, alpha, n, m, n_radial, n_angular)
+    target = disc_reference(a, alpha, n, m)
 
-    values = []
-    for b in bs:
-        p = make_params(a, b)
-        fn = monic_factor(alpha, p, n)
-        fm = monic_factor(alpha, p, m)
-        values.append(complex(fn * fm * _planar_entry(p, alpha, n, m, n_radial, n_angular)))
+    ps = [make_params(a, b) for b in bs]
+    values = [complex(monic_factor(alpha, p, n) * monic_factor(alpha, p, m)
+                      * _planar_entry(p, alpha, n, m)) for p in ps]
     residuals = tuple(abs(v - target) for v in values)
     closed_diag = math.exp(math.lgamma(n + 1) + math.lgamma(1.0 + alpha)
                            + math.log1p(alpha) + 2 * n * math.log(a)
@@ -185,8 +182,8 @@ def disc_limit(a: float, n: int, m: int, alpha: float, b_sequence,
                        parameters=bs, values=tuple(values), target=target,
                        residuals=residuals, tolerance=tolerance,
                        noise_floor=noise_floor,
-                       verdict=_verdict(residuals, tolerance, noise_floor),
                        extras={"residual_kind": "absolute",
+                               "rule_nodes": [k, 2 * k],
                                "closed_diagonal": closed_diag,
                                "rate": "O(n (1 - b/a)) relative on the diagonal"})
 
@@ -200,27 +197,26 @@ def realline_constant(alpha: float) -> float:
 
 
 def realline_limit(a: float, n: int, m: int, alpha: float, b_sequence,
-                   tolerance: float = 1e-2, noise_floor: float = 1e-10,
-                   n_radial: int = DEFAULT_N_RADIAL,
-                   n_angular: int = DEFAULT_N_ANGULAR,
-                   n_oracle: int = 200) -> LimitReport:
+                   tolerance: float = 1e-2, noise_floor: float = 1e-10) -> LimitReport:
     """b -> 0: the planar inner products <C_n(z/c), C_m(z/c)>_alpha approach
 
         (2 (1+alpha)/pi) F(1/2, -alpha; 3/2; 1) *
             integral_{-1}^{1} C_n(x) C_m(x) (1 - x^2)^{alpha+1/2} dx,
 
     the classical real-line Gegenbauer orthogonality.  The reference
-    integral is evaluated independently by 1-D Gauss-Jacobi quadrature with
-    weight (1-x^2)^{alpha+1/2}.  Residuals are relative on the diagonal
-    (rate O(b^2) with an n-dependent constant), absolute off it.
+    integral is evaluated independently by k-node 1-D Gauss-Jacobi quadrature
+    with weight (1-x^2)^{alpha+1/2}, exact for degree n + m.  Residuals are
+    relative on the diagonal (rate O(b^2) with an n-dependent constant),
+    absolute off it.
     """
+    k = _entry_size(n, m)
     bs = tuple(float(t) for t in b_sequence)
     if len(bs) < 2 or any(t2 >= t1 for t1, t2 in zip(bs, bs[1:])):
         raise ValueError("b_sequence must be strictly decreasing toward 0")
     if bs[0] >= a:
         raise ValueError("b_sequence must stay below a")
 
-    x1, w1 = roots_jacobi(n_oracle, alpha + 0.5, alpha + 0.5)
+    x1, w1 = roots_jacobi(k, alpha + 0.5, alpha + 0.5)
     C1 = gegenbauer_matrix(alpha, max(n, m), x1.astype(complex)).real
     oracle = float(np.sum(w1 * C1[n] * C1[m]))
     # The classical real-line family is exactly orthogonal: off the diagonal
@@ -228,10 +224,7 @@ def realline_limit(a: float, n: int, m: int, alpha: float, b_sequence,
     target = 2.0 * (1.0 + alpha) / math.pi * realline_constant(alpha) * oracle \
         if n == m else 0.0
 
-    values = []
-    for b in bs:
-        values.append(complex(_planar_entry(make_params(a, b), alpha, n, m,
-                                            n_radial, n_angular)))
+    values = [complex(_planar_entry(make_params(a, b), alpha, n, m)) for b in bs]
     residuals = tuple(_entry_residual(v, target, n == m) for v in values)
     closed_diag = (1.0 + alpha) / (1.0 + alpha + n) * math.exp(
         lnpoch(2.0 + 2.0 * alpha, n) - math.lgamma(n + 1)) if n == m else 0.0
@@ -239,8 +232,8 @@ def realline_limit(a: float, n: int, m: int, alpha: float, b_sequence,
                        parameters=bs, values=tuple(values), target=target,
                        residuals=residuals, tolerance=tolerance,
                        noise_floor=noise_floor,
-                       verdict=_verdict(residuals, tolerance, noise_floor),
                        extras={"residual_kind": "relative diag / absolute offdiag",
-                               "oracle_nodes": n_oracle,
+                               "rule_nodes": [k, 2 * k],
+                               "oracle_nodes": k,
                                "closed_diagonal": closed_diag,
                                "rate": "O(b^2) with constant growing in n"})

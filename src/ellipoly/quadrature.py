@@ -56,6 +56,17 @@ class QuadratureRule:
         return float(self.weights.sum())
 
 
+def _exact_size(degree: int) -> int:
+    """Size k making the k-node Gauss rule and the k x 2k area rule exact for
+    total degree <= degree: k Gauss nodes are exact to degree 2k - 1; on the
+    area rule only even powers of r survive the angular sum, leaving degree/2
+    in t = r^2 for k radial nodes, and 2k trapezoid angles are exact for every
+    harmonic of order <= degree."""
+    if degree < 0:
+        raise ValueError(f"degree must be nonnegative, got {degree}")
+    return degree // 2 + 1
+
+
 def _interleave_antipodes(zhalf: np.ndarray, uradial: np.ndarray):
     """Assemble a rule from half an angular period: nodes come out as exact
     antipodal pairs (z, -z) interleaved, so odd-parity integrands cancel

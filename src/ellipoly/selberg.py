@@ -3,7 +3,7 @@
 Z_N = integral over E^N of |Delta_N(z)|^2 prod_i dA_alpha(z_i) equals
 N! times the product of the monic squared norms.  Three routes are
 implemented: the norm product, the fully closed Gamma/2F1 expression,
-and (for N <= 2) direct tensor quadrature.
+and (for N <= 2) direct tensor quadrature, exact for the polynomial integrand.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 from .geometry import EllipseParams, area_measure
 from .norms import log_monic_norm, monic_factor
 from .polynomials import _gegenbauer_norms
-from .quadrature import build_rule
+from .quadrature import _exact_size, build_rule
 
 __all__ = [
     "SelbergResult",
@@ -58,29 +58,29 @@ def selberg_closed(alpha: float, p: EllipseParams, N: int) -> float:
     return _log_selberg(alpha, p, N, "hypergeometric")
 
 
-def _ensemble_weights(alpha: float, p: EllipseParams, N: int,
-                      n_radial: int, n_angular: int):
+def _ensemble_weights(alpha: float, p: EllipseParams, N: int):
     """Nodes z of the area rule for dA_alpha and the weight of the N-point
     ensemble over node tuples (N in {1, 2}): w_i for N = 1 and
-    W_ij = w_i w_j |z_i - z_j|^2 for N = 2."""
+    W_ij = w_i w_j |z_i - z_j|^2 for N = 2, by a rule exact for degree 2N - 1
+    per variable (|z_i - z_j|^2 times one z_i in the Heine average)."""
     if N not in (1, 2):
         raise ValueError("direct tensor quadrature is limited to N in {1, 2}")
-    rule = build_rule(area_measure(p, alpha), n_radial=n_radial, n_angular=n_angular)
+    k = _exact_size(2 * N - 1)
+    rule = build_rule(area_measure(p, alpha), n_radial=k, n_angular=2 * k)
     z, w = rule.nodes, rule.weights
     if N == 1:
         return z, w
     return z, np.outer(w, w) * np.abs(z[:, None] - z[None, :]) ** 2
 
 
-def selberg_direct(alpha: float, p: EllipseParams, N: int,
-                   n_radial: int = 24, n_angular: int = 48) -> float:
+def selberg_direct(alpha: float, p: EllipseParams, N: int) -> float:
     """Z_N by tensor-product quadrature over E^N; only N in {1, 2}.
 
     For N = 2 the squared Vandermonde |z_1 - z_2|^2 is summed over node
-    pairs directly (the integrand is polynomial in the coordinates, so the
-    tensor rule is exact to roundoff).
+    pairs directly (the rule is sized from the polynomial integrand's degree,
+    so the tensor rule is exact to roundoff).
     """
-    _, W = _ensemble_weights(alpha, p, N, n_radial, n_angular)
+    _, W = _ensemble_weights(alpha, p, N)
     return float(W.sum())
 
 
@@ -105,8 +105,7 @@ class SelbergResult:
 
 
 def selberg_compare(alpha: float, p: EllipseParams, N: int,
-                    direct: bool = False,
-                    n_radial: int = 24, n_angular: int = 48) -> SelbergResult:
+                    direct: bool = False) -> SelbergResult:
     """Evaluate Z_N by every applicable route and report discrepancies."""
     lc = selberg_closed(alpha, p, N)
     lp = selberg_product(alpha, p, N)
@@ -114,7 +113,7 @@ def selberg_compare(alpha: float, p: EllipseParams, N: int,
     dv = None
     drel = None
     if direct:
-        dv = selberg_direct(alpha, p, N, n_radial=n_radial, n_angular=n_angular)
+        dv = selberg_direct(alpha, p, N)
         drel = abs(dv - math.exp(lp)) / abs(math.exp(lp))
     return SelbergResult(alpha=alpha, params=p, N=N, log_closed=lc,
                          log_product=lp, direct_value=dv, sign=1,

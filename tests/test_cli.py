@@ -179,3 +179,24 @@ def test_gram_deterministic_bytes():
     args = ("gram", "--family", "gegenbauer", "--alpha", "0.5",
             "--a", "2", "--b", "1", "--nmax", "6")
     assert run_cli(*args).stdout == run_cli(*args).stdout
+
+
+@pytest.mark.parametrize("args", [
+    ("limits", "--regime", "realline", "--n", "0", "--m", "-2"),
+    ("norms", "--family", "legendre", "--nmax", "-1"),
+    ("eval", "--family", "legendre", "--n", "2", "--z", "1", "2", "3"),
+], ids=["limits_negative_degree", "norms_negative_nmax", "eval_three_numbers"])
+def test_invalid_input_exits_one_with_message(args):
+    p = run_cli(*args)
+    assert p.returncode == 1
+    assert p.stdout == ""
+    assert "ellipoly: error:" in p.stderr
+    assert "Traceback" not in p.stderr
+
+
+@pytest.mark.parametrize("command", ["limits", "selberg"])
+def test_degree_sized_commands_take_no_rule_flags(command):
+    """limits and selberg size their rules from the degree."""
+    p = run_cli(command, "-h")
+    assert p.returncode == 0
+    assert "--n-radial" not in p.stdout and "--n-angular" not in p.stdout

@@ -7,8 +7,12 @@ import pytest
 
 from ellipoly import (
     area_measure,
+    b_minus_measure,
+    b_plus_measure,
     base_params,
     chebyshev_t_measure,
+    chebyshev_v_measure,
+    chebyshev_w_measure,
     derived_params,
     ellipse_h,
     elliptic_to_cartesian,
@@ -119,3 +123,19 @@ def test_weight_densities(p21):
     mf = flat_measure(p21)
     assert weight_density(mf, 0.3 + 0.1j) == pytest.approx(
         math.pi * p21.a * p21.b)
+
+
+@pytest.mark.parametrize("make", [
+    lambda p, norm: area_measure(p, 0.7, norm),
+    lambda p, norm: b_minus_measure(p, 0.7, norm),
+    lambda p, norm: b_plus_measure(p, 0.7, norm),
+    lambda p, norm: chebyshev_t_measure(p, norm),
+    lambda p, norm: chebyshev_v_measure(p, norm),
+    lambda p, norm: chebyshev_w_measure(p, norm),
+    lambda p, norm: flat_measure(p, norm),
+], ids=["area", "b_minus", "b_plus", "cheb_t", "cheb_v", "cheb_w", "flat"])
+def test_normalized_density_is_flat_over_flat_factor(p21, make):
+    normed, flat = make(p21, True), make(p21, False)
+    for z in (0.3 + 0.2j, -1.1 + 0.4j, 0.5 - 0.6j):
+        assert weight_density(normed, z) * normed.flat_factor == pytest.approx(
+            weight_density(flat, z), rel=1e-14)

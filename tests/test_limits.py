@@ -10,11 +10,13 @@ from ellipoly import (
     LimitRegime,
     disc_limit,
     disc_reference,
+    gegenbauer_norm,
     hermite_limit,
     make_params,
     realline_constant,
     realline_limit,
 )
+from ellipoly.limits import _planar_entry
 
 
 def test_hermite_diagonal_target_hand_value(p21):
@@ -113,3 +115,36 @@ def test_hermite_beyond_area_rule_range_raises(p21):
     # the Gauss-Jacobi weights of the area rule overflow for alpha above ~1023
     with pytest.raises(ValueError, match="not finite"):
         hermite_limit(p21, 1, 1, (10.0, 1e4))
+
+
+@pytest.mark.parametrize("p", [make_params(2.0, 1.0), make_params(1.0, 0.3),
+                               make_params(1.0, 0.95)], ids=["p21", "p1_03", "p1_095"])
+@pytest.mark.parametrize("alpha", [-0.9, 0.0, 2.5, 10.0, 100.0, 1000.0])
+def test_planar_entry_is_the_closed_norm(p, alpha):
+    """The degree-sized area rule reproduces <C_n, C_m>_alpha = delta_nm h_n
+    from the paper's closed norm, across alpha up to 1e3."""
+    h = [gegenbauer_norm(alpha, p, n) for n in range(7)]
+    for n in range(7):
+        for m in range(7):
+            want = h[n] if n == m else 0.0
+            got = _planar_entry(p, alpha, n, m)
+            assert abs(got - want) <= 5e-12 * math.sqrt(h[n] * h[m]), (n, m)
+
+
+@pytest.mark.parametrize("call", [
+    lambda p: hermite_limit(p, -1, 0, (10.0, 100.0)),
+    lambda p: disc_limit(1.0, 0, -2, 0.0, (0.9, 0.99)),
+    lambda p: realline_limit(2.0, 2, -1, 0.0, (0.3, 0.1)),
+    lambda p: disc_reference(1.0, 0.0, -1, 3),
+], ids=["hermite", "disc", "realline", "disc_reference"])
+def test_negative_degrees_rejected(p21, call):
+    with pytest.raises(ValueError, match="degrees must be nonnegative"):
+        call(p21)
+
+
+def test_reports_record_rule_sizes(p21):
+    assert hermite_limit(p21, 3, 2, (10.0, 100.0)).extras["rule_nodes"] == [3, 6]
+    assert disc_limit(1.0, 2, 2, 0.0, (0.9, 0.99)).extras["rule_nodes"] == [3, 6]
+    real = realline_limit(2.0, 4, 4, 0.0, (0.3, 0.1))
+    assert real.extras["rule_nodes"] == [5, 10]
+    assert real.extras["oracle_nodes"] == 5

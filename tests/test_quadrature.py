@@ -22,6 +22,7 @@ from ellipoly import (
     moment,
     moment_table,
 )
+from ellipoly.quadrature import _exact_size
 
 
 @pytest.mark.parametrize("alpha", [-0.9, 0.0, 1.0, 4.0])
@@ -170,3 +171,25 @@ def test_contour_identity_other_geometry():
 def test_area_rule_beyond_double_range_raises(p21):
     with pytest.raises(ValueError, match=r"not finite for alpha = 10000\.0"):
         build_rule(area_measure(p21, 1e4))
+
+
+@pytest.mark.parametrize("alpha", [-0.9, 0.0, 3.7])
+@pytest.mark.parametrize("p", [make_params(2.0, 1.0), make_params(1.0, 0.3)],
+                         ids=["p21", "p1_03"])
+def test_exact_size_rule_matches_default_moments(p, alpha):
+    """Every moment <z^j, z^l> with j + l = d on the k x 2k rule of
+    _exact_size(d) equals the default rule's, for d <= 20."""
+    ref = moment_table(20, build_rule(area_measure(p, alpha)))
+    for d in range(21):
+        k = _exact_size(d)
+        got = moment_table(d, build_rule(area_measure(p, alpha), n_radial=k,
+                                         n_angular=2 * k))
+        want = np.array([ref[j, d - j] for j in range(d + 1)])
+        have = np.array([got[j, d - j] for j in range(d + 1)])
+        assert np.max(np.abs(have - want)) <= 1e-10 * np.max(np.abs(want)), d
+
+
+def test_exact_size_rejects_negative_degree():
+    assert [_exact_size(d) for d in range(5)] == [1, 1, 2, 2, 3]
+    with pytest.raises(ValueError, match="nonnegative"):
+        _exact_size(-1)

@@ -10,6 +10,7 @@ import math
 import pytest
 
 from ellipoly import (
+    heine_check,
     log_monic_norm,
     make_params,
     monic_norm,
@@ -95,3 +96,14 @@ def test_product_is_the_sum_of_log_monic_norms(p21, alpha):
         for j in range(N):
             expect += log_monic_norm(alpha, p21, j)
         assert selberg_product(alpha, p21, N) == expect
+
+
+@pytest.mark.parametrize("p", [make_params(2.0, 1.0), make_params(1.0, 0.3),
+                               make_params(1.0, 0.95)], ids=["p21", "p1_03", "p1_095"])
+@pytest.mark.parametrize("alpha", [-0.9, -0.5, 0.0, 2.5, 30.0])
+def test_degree_sized_ensemble_rule_is_exact(p, alpha):
+    """The N = 2 ensemble rule, sized for degree 2N - 1, gives Z_2 and the
+    Heine average to roundoff."""
+    z2 = math.exp(selberg_product(alpha, p, 2))
+    assert selberg_direct(alpha, p, 2) == pytest.approx(z2, rel=5e-14)
+    assert heine_check(alpha, p, 2) <= 1e-13 * p.a ** 2
