@@ -46,7 +46,7 @@ def main():
     print(LINE)
 
     for v in (1.5, 1.6):
-        basis = ChristoffelBasis(ALPHA, p, v, nmax=nmax + 3)
+        basis = ChristoffelBasis(ALPHA, p, v)
         H = hessenberg(basis, nmax)
         print(f"charged weight |{v} - z|^2 dA,  bandwidth at tol 1e-6: "
               f"{bandwidth(H, 1e-6)}  (= nmax: no finite band)")
@@ -62,7 +62,7 @@ def main():
     print(LINE)
 
     # Below-band entries have a closed form in kernel and charge values.
-    basis = ChristoffelBasis(ALPHA, p, 1.6, nmax=nmax + 3)
+    basis = ChristoffelBasis(ALPHA, p, 1.6)
     H = hessenberg(basis, nmax)
     worst = 0.0
     for n in range(2, nmax):
@@ -75,7 +75,7 @@ def main():
     print("total below-band mass shrinks as the ellipse flattens (v=1.5):")
     for b in (0.5, 0.1, 0.02):
         q = make_params(2.0, b)
-        basis = ChristoffelBasis(ALPHA, q, 1.5, nmax=nmax + 3)
+        basis = ChristoffelBasis(ALPHA, q, 1.5)
         Hq = hessenberg(basis, nmax)
         mass = max(column_profile(Hq, n) for n in range(2, nmax))
         print(f"  b={b}: {mass:.3e}")

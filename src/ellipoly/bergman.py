@@ -54,20 +54,16 @@ class ChristoffelBasis:
     """Orthonormal basis under the point-charge weight |v - z|^2 dA_alpha.
 
     v may lie inside or outside the ellipse; the kernel values kappa_N(v, vbar)
-    are strictly positive either way.  nmax caps the degrees the basis will
-    evaluate (kernel sums need Gegenbauer values up to nmax + 2).
+    are strictly positive either way.
     """
 
     alpha: float
     params: EllipseParams
     v: complex
-    nmax: int = 24
 
     def __post_init__(self):
         if not self.alpha > -1.0:
             raise ValueError(f"alpha must exceed -1, got {self.alpha}")
-        if self.nmax < 0:
-            raise ValueError("nmax must be nonnegative")
 
 
 def orthonormal_values(alpha: float, p: EllipseParams, nmax: int, z) -> np.ndarray:
@@ -120,8 +116,6 @@ def christoffel_values(basis: ChristoffelBasis, nmax: int, z) -> np.ndarray:
     with the removable singularity at z = v filled by the derivative form
     whenever |z - v| < 1e-8.
     """
-    if nmax > basis.nmax:
-        raise ValueError(f"degree {nmax} exceeds basis cap {basis.nmax}")
     alpha, p, v = basis.alpha, basis.params, basis.v
     zz = np.asarray(z, dtype=complex)
     scalar = zz.ndim == 0
@@ -220,8 +214,6 @@ def hessenberg(basis, nmax: int, strategy: str = "auto",
     elif isinstance(basis, ChristoffelBasis):
         if strategy not in ("auto", "quadrature"):
             raise ValueError("christoffel entries are only available by quadrature")
-        if nmax > basis.nmax:
-            raise ValueError(f"nmax {nmax} exceeds basis cap {basis.nmax}")
         label = f"christoffel(alpha={basis.alpha}, v={basis.v})"
     else:
         raise TypeError(f"unsupported basis {type(basis).__name__}")

@@ -167,8 +167,7 @@ def _cmd_hessenberg(args) -> int:
     if args.basis == "gegenbauer":
         basis = GegenbauerBasis(args.alpha, p)
     else:
-        basis = ChristoffelBasis(args.alpha, p, complex(args.v_re, args.v_im),
-                                 nmax=max(args.nmax, 24))
+        basis = ChristoffelBasis(args.alpha, p, complex(args.v_re, args.v_im))
     H = hessenberg(basis, args.nmax, strategy=args.strategy,
                    n_radial=args.n_radial, n_angular=args.n_angular)
     d = bandwidth(H, args.tol)
@@ -237,15 +236,14 @@ def _cmd_limits(args) -> int:
 
 def _cmd_contour(args) -> int:
     p = make_params(args.a, args.b)
-    val = contour_check(p, args.n, args.m, n_theta=args.n_theta)
+    val = contour_check(p, args.n, args.m)
     q = p.r / p.c
     expected = 1j * math.pi * (args.n + 1) / 2.0 \
         * (q ** (2 * args.n + 2) - q ** (-2 * args.n - 2)) \
         if args.n == args.m else 0j
     payload = {
         "meta": _meta(args, p),
-        "data": {"n": args.n, "m": args.m, "n_theta": args.n_theta,
-                 "value": val, "expected": expected,
+        "data": {"n": args.n, "m": args.m, "value": val, "expected": expected,
                  "deviation": abs(val - expected)},
     }
     _emit(args, dumps(payload))
@@ -372,7 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("contour", help="first-kind contour identity check")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--m", type=int, required=True)
-    sp.add_argument("--n-theta", type=int, default=256)
     _add_geometry(sp)
     _add_output(sp)
     sp.set_defaults(func=_cmd_contour)

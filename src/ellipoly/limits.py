@@ -18,16 +18,16 @@ sized from that degree and exact to roundoff; extras record the sizes.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .geometry import EllipseParams, area_measure, make_params
 from .norms import monic_factor
 from .polynomials import gegenbauer_matrix, lnpoch
-from .quadrature import _exact_size, build_rule
+from .quadrature import _exact_size, _gauss_jacobi, build_rule
 
 __all__ = [
     "LimitRegime",
@@ -101,6 +101,17 @@ def _planar_entry(p: EllipseParams, alpha: float, n: int, m: int) -> complex:
     return np.sum(rule.weights * C[n] * np.conj(C[m]))
 
 
+def _times_exp(value, log_scale: float):
+    """value * exp(log_scale) as one exponential, so that a scale outside the
+    double range does not overflow when the product lies inside it."""
+    if value == 0:
+        return value
+    log_mag = log_scale + math.log(abs(value))
+    if not log_mag < math.log(sys.float_info.max):   # also catches nan
+        raise ValueError(f"hermite_limit value exp({log_mag}) is not finite in double precision")
+    return value / abs(value) * math.exp(log_mag)
+
+
 def hermite_limit(p: EllipseParams, n: int, m: int, alpha_sequence,
                   tolerance: float = 1e-2, noise_floor: float = 1e-8) -> LimitReport:
     """alpha -> infinity: the rescaled Gegenbauer inner products
@@ -111,21 +122,18 @@ def hermite_limit(p: EllipseParams, n: int, m: int, alpha_sequence,
     are relative on the diagonal, absolute off it (the target vanishes).
 
     Same-parity off-diagonal entries are exact zeros of the measure, so their
-    computed residuals are quadrature roundoff, which grows with the basis
-    magnitude (roughly (1+alpha)^n, about 1e-10 at alpha = 1e3).  The noise
-    floor exempts those entries from the monotone-decrease requirement.
+    computed residuals are quadrature roundoff (below 1e-13 through
+    alpha = 1e6 for n, m <= 3 on p(2,1)).  The noise floor exempts those
+    entries from the monotone-decrease requirement.
     """
     k = _entry_size(n, m)
     alphas = tuple(float(t) for t in alpha_sequence)
     if len(alphas) < 2 or any(t2 <= t1 for t1, t2 in zip(alphas, alphas[1:])):
         raise ValueError("alpha_sequence must be strictly increasing")
-    target = math.pi * math.exp(math.lgamma(n + 1)) * p.a * p.b \
-        * (2.0 * p.x_star) ** n if n == m else 0.0
-
-    lfact = math.lgamma(n + 1) + math.lgamma(m + 1)
-    values = [complex(math.pi * p.a * p.b
-                      * math.exp(lfact - 0.5 * (n + m) * math.log1p(alpha))
-                      * _planar_entry(p, alpha, n, m)) for alpha in alphas]
+    log_n = math.log(math.pi * p.a * p.b) + math.lgamma(n + 1)   # log(pi a b n!)
+    target = _times_exp(1.0, log_n + n * math.log(2.0 * p.x_star)) if n == m else 0.0
+    values = [complex(_times_exp(_planar_entry(p, alpha, n, m), log_n + math.lgamma(m + 1)
+                                 - 0.5 * (n + m) * math.log1p(alpha))) for alpha in alphas]
     residuals = tuple(_entry_residual(v, target, n == m) for v in values)
     return LimitReport(regime=LimitRegime.HERMITE_PLANE, n=n, m=m,
                        parameters=alphas, values=tuple(values), target=target,
@@ -140,12 +148,10 @@ def disc_reference(a: float, alpha: float, n: int, m: int) -> complex:
     """<z^n, z^m> on the disc |z| < a under (1+alpha)(1-|z/a|^2)^alpha dA,
     by polar-coordinate quadrature (k-node Gauss-Jacobi radially, 2k-point
     trapezoid in angle, exact for degree n + m).  The closed diagonal is
-    Gamma(n+1) Gamma(1+alpha) (1+alpha) a^{2n} / (Gamma(1+alpha+n)(1+alpha+n)).
+    n! a^{2n} / (2+alpha)_n.
     """
     k = _entry_size(n, m)
-    x, w = roots_jacobi(k, alpha, 0.0)
-    t = 0.5 * (x + 1.0)
-    u = w * 2.0 ** (-1.0 - alpha) * (1.0 + alpha)
+    t, u = _gauss_jacobi(k, alpha, 0.0)
     theta = np.pi * np.arange(2 * k) / k
     z = np.outer(a * np.sqrt(t), np.exp(1j * theta))
     return complex(np.sum((u / (2 * k))[:, None] * z ** n * np.conj(z) ** m))
@@ -174,10 +180,8 @@ def disc_limit(a: float, n: int, m: int, alpha: float, b_sequence,
     values = [complex(monic_factor(alpha, p, n) * monic_factor(alpha, p, m)
                       * _planar_entry(p, alpha, n, m)) for p in ps]
     residuals = tuple(abs(v - target) for v in values)
-    closed_diag = math.exp(math.lgamma(n + 1) + math.lgamma(1.0 + alpha)
-                           + math.log1p(alpha) + 2 * n * math.log(a)
-                           - math.lgamma(1.0 + alpha + n)
-                           - math.log(1.0 + alpha + n)) if n == m else 0.0
+    closed_diag = math.exp(math.lgamma(n + 1) + 2 * n * math.log(a)
+                           - lnpoch(2.0 + alpha, n)) if n == m else 0.0
     return LimitReport(regime=LimitRegime.DISC_TRUNCATED_UNITARY, n=n, m=m,
                        parameters=bs, values=tuple(values), target=target,
                        residuals=residuals, tolerance=tolerance,
@@ -203,9 +207,9 @@ def realline_limit(a: float, n: int, m: int, alpha: float, b_sequence,
         (2 (1+alpha)/pi) F(1/2, -alpha; 3/2; 1) *
             integral_{-1}^{1} C_n(x) C_m(x) (1 - x^2)^{alpha+1/2} dx,
 
-    the classical real-line Gegenbauer orthogonality.  The reference
-    integral is evaluated independently by k-node 1-D Gauss-Jacobi quadrature
-    with weight (1-x^2)^{alpha+1/2}, exact for degree n + m.  Residuals are
+    the classical real-line Gegenbauer orthogonality.  The prefactor is the
+    reciprocal of the weight's mass, so the target is the k-node unit-mass
+    Gauss-Jacobi sum, exact for degree n + m.  Residuals are
     relative on the diagonal (rate O(b^2) with an n-dependent constant),
     absolute off it.
     """
@@ -216,13 +220,10 @@ def realline_limit(a: float, n: int, m: int, alpha: float, b_sequence,
     if bs[0] >= a:
         raise ValueError("b_sequence must stay below a")
 
-    x1, w1 = roots_jacobi(k, alpha + 0.5, alpha + 0.5)
-    C1 = gegenbauer_matrix(alpha, max(n, m), x1.astype(complex)).real
-    oracle = float(np.sum(w1 * C1[n] * C1[m]))
-    # The classical real-line family is exactly orthogonal: off the diagonal
-    # the limit is an exact zero (the oracle only confirms it to roundoff).
-    target = 2.0 * (1.0 + alpha) / math.pi * realline_constant(alpha) * oracle \
-        if n == m else 0.0
+    t1, w1 = _gauss_jacobi(k, alpha + 0.5, alpha + 0.5)
+    C1 = gegenbauer_matrix(alpha, max(n, m), 2.0 * t1 - 1.0).real
+    # The real-line family is exactly orthogonal: off the diagonal the limit is 0.
+    target = float(np.sum(w1 * C1[n] * C1[m])) if n == m else 0.0
 
     values = [complex(_planar_entry(make_params(a, b), alpha, n, m)) for b in bs]
     residuals = tuple(_entry_residual(v, target, n == m) for v in values)

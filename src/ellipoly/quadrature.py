@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_jacobi, roots_legendre
 
 from .geometry import (
     EllipseParams,
@@ -25,7 +24,7 @@ from .geometry import (
     joukowsky,
     quadratic_map,
 )
-from .polynomials import eval_gegenbauer
+from .polynomials import _forward, eval_gegenbauer
 
 __all__ = [
     "QuadratureRule",
@@ -78,30 +77,45 @@ def _interleave_antipodes(zhalf: np.ndarray, uradial: np.ndarray):
     return nodes.ravel(), weights.ravel()
 
 
-def _check_angular(n_angular: int):
-    if n_angular < 2 or n_angular % 2:
-        raise ValueError("n_angular must be even (antipodal node symmetry)")
+def _gauss_jacobi(k: int, a: float, b: float):
+    """k-node Gauss rule of unit mass for (1 - t)^a t^b on (0, 1), by
+    Golub-Welsch: nodes are the Jacobi matrix's eigenvalues and weights are
+    1 / sum_{j<k} p_j(t)^2 over the orthonormal polynomials, so no Gamma or
+    2^(a+b+1) factor ever forms.  Nodes are in t = (1 + x)/2, where those
+    near 0 keep their relative precision; the end with the smaller exponent,
+    where the weights are most sensitive to the nodes, is built there."""
+    if k < 1:
+        raise ValueError(f"a Gauss rule needs at least one node, got {k}")
+    if a < b:
+        u, w = _gauss_jacobi(k, b, a)
+        return 1.0 - u[::-1], w[::-1]
+    s, n = a + b, np.arange(k, dtype=float)
+    m = 2.0 * n + s
+    with np.errstate(divide="ignore", invalid="ignore"):   # 0/0 at n = 0 or 1, set below
+        d = (2.0 * n * (n + s + 1.0) + s * (b + 1.0)) / (m * (m + 2.0))
+        e = n * (n + a) * (n + b) * (n + s) / (m * m * (m + 1.0) * (m - 1.0))
+    d[0] = (b + 1.0) / (s + 2.0)
+    e[1:2] = (1.0 + a) * (1.0 + b) / ((2.0 + s) ** 2 * (3.0 + s))
+    e = np.sqrt(e[1:])
+    t = np.linalg.eigvalsh(np.diag(d) + np.diag(e, -1))
+    P = _forward(k - 1, t, lambda t: (t - d[0]) / e[0],
+                 lambda j, t, cur, prev: ((t - d[j]) * cur - e[j - 1] * prev) / e[j])
+    return t, 1.0 / np.sum(np.abs(P) ** 2, axis=0)
 
 
 def _area_rule(p: EllipseParams, alpha: float, n_radial: int, n_angular: int):
     """Rule for dA_alpha = (1+alpha)(1-h)^alpha dA, total mass 1.
 
-    Radial direction: with t = r^2 the measure is proportional to
-    (1-t)^alpha dt on (0, 1), handled by Gauss-Jacobi nodes mapped from
-    [-1, 1].  Angular direction: trapezoid over an even count of angles,
-    built from half a period and mirrored so antipodes are exact.
+    Radial direction: with t = r^2 the measure is (1+alpha)(1-t)^alpha dt
+    on (0, 1), the unit-mass Gauss-Jacobi rule in t.  Angular direction:
+    trapezoid over an even count of angles, built from half a period and
+    mirrored so antipodes are exact.
     """
-    _check_angular(n_angular)
-    x, w = roots_jacobi(n_radial, alpha, 0.0)
-    t = 0.5 * (x + 1.0)          # r^2 in (0, 1)
-    u = w * 2.0 ** (-1.0 - alpha)  # so that sum u = integral of (1-t)^alpha dt
-    if not np.all(np.isfinite(u)):
-        raise ValueError(f"area rule weights are not finite for alpha = {alpha}: "
-                         f"roots_jacobi's 2^(alpha+1) weight scale overflows")
+    t, u = _gauss_jacobi(n_radial, alpha, 0.0)
     r = np.sqrt(t)
     theta = 2.0 * np.pi * np.arange(n_angular // 2) / n_angular
     zhalf = p.a * np.outer(r, np.cos(theta)) + 1j * p.b * np.outer(r, np.sin(theta))
-    return _interleave_antipodes(zhalf, (1.0 + alpha) * u / n_angular)
+    return _interleave_antipodes(zhalf, u / n_angular)
 
 
 def _chebyshev_t_rule(p: EllipseParams, n_radial: int, n_angular: int):
@@ -112,10 +126,9 @@ def _chebyshev_t_rule(p: EllipseParams, n_radial: int, n_angular: int):
     s and the trapezoid in angle (the map is odd, so mirrored w-nodes give
     exact antipodal z-nodes).  Total mass is 2 pi log(r/c).
     """
-    _check_angular(n_angular)
-    x, w = roots_legendre(n_radial)
-    s = 0.5 * (p.r - p.c) * x + 0.5 * (p.r + p.c)
-    u = w * 0.5 * (p.r - p.c) / s
+    t, w = _gauss_jacobi(n_radial, 0.0, 0.0)
+    s = p.c + (p.r - p.c) * t
+    u = w * (p.r - p.c) / s
     theta = 2.0 * np.pi * np.arange(n_angular // 2) / n_angular
     ws = np.outer(s, np.exp(1j * theta))
     return _interleave_antipodes(joukowsky(p, ws), u * 2.0 * np.pi / n_angular)
@@ -129,6 +142,8 @@ def build_rule(measure: Measure,
     in harmonics.  Each rule is built in one convention (flat d^2z for the
     Chebyshev weights, normalized otherwise) and converted once by the
     measure's flat_factor when the measure asks for the other."""
+    if n_angular < 2 or n_angular % 2:
+        raise ValueError("n_angular must be even (antipodal node symmetry)")
     p = measure.params
     kind = measure.kind
     # FLAT and the Chebyshev V/W rules are the alpha = 0 area-type rules.
@@ -229,15 +244,19 @@ def lp_norm(f, p_exp: float, rule: QuadratureRule) -> float:
     return float(np.sum(rule.weights * np.abs(fv) ** p_exp) ** (1.0 / p_exp))
 
 
-def contour_check(p: EllipseParams, n: int, m: int, n_theta: int = 256) -> complex:
+def contour_check(p: EllipseParams, n: int, m: int) -> complex:
     """Contour integral linking the first-kind family to its planar norms:
 
         I(n, m) = oint_{|w| = r} d/dw [T_{n+1}(z(w)/c)] conj(T_{m+1}(z(w)/c)) dw
 
-    with z(w) = (w + c^2/w)/2.  Evaluated by the trapezoid rule, which is
-    exact here since the integrand is a finite Laurent series in w.  The
-    closed value is i pi (n+1)/2 [(r/c)^{2n+2} - (c/r)^{2n+2}] delta_{nm}.
+    with z(w) = (w + c^2/w)/2.  On |w| = r the integrand is a Laurent
+    polynomial in w of degree n + m + 2 each way, so the trapezoid rule on
+    n + m + 3 points, the fewest that resolve it, is exact.  The closed
+    value is i pi (n+1)/2 [(r/c)^{2n+2} - (c/r)^{2n+2}] delta_{nm}.
     """
+    if n < 0 or m < 0:
+        raise ValueError("degrees must be nonnegative")
+    n_theta = n + m + 3
     theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
     w = p.r * np.exp(1j * theta)
     z = joukowsky(p, w)

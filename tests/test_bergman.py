@@ -58,9 +58,21 @@ def test_kernel_diagonal_ladder_nondecreasing(p21):
     assert vals[6] > vals[5]
 
 
+def test_christoffel_basis_has_no_degree_cap(p21):
+    """Degrees past the old default cap of 24: finite values, and a charged
+    Hessenberg matrix that is zero below its subdiagonal."""
+    basis = ChristoffelBasis(0.0, p21, 1.5 + 0j)
+    assert np.all(np.isfinite(christoffel_values(basis, 30, 0.3 + 0.2j)))
+    H = hessenberg(basis, 30)
+    l, n = np.indices(H.entries.shape)
+    assert np.max(np.abs(H.entries[l > n + 1])) <= 1e-12 * np.max(np.abs(H.entries))
+    with pytest.raises(TypeError):
+        ChristoffelBasis(0.0, p21, 1.5 + 0j, nmax=12)
+
+
 def test_christoffel_basis_is_orthonormal_for_charged_weight(p21):
     v = 1.5 + 0j
-    basis = ChristoffelBasis(0.0, p21, v, nmax=12)
+    basis = ChristoffelBasis(0.0, p21, v)
     rule = build_rule(area_measure(p21, 0.0))
     w = rule.weights * np.abs(v - rule.nodes) ** 2
     P = christoffel_values(basis, 6, rule.nodes)
@@ -69,7 +81,7 @@ def test_christoffel_basis_is_orthonormal_for_charged_weight(p21):
 
 
 def test_christoffel_degree_zero_and_monic_norm(p21):
-    basis = ChristoffelBasis(0.0, p21, 1.5 + 0j, nmax=10)
+    basis = ChristoffelBasis(0.0, p21, 1.5 + 0j)
     # h~^(1)_0 = h~_1 kappa_2/kappa_1 = (5/4)(1 + 9/5) = 7/2
     assert christoffel_norm_monic(basis, 0) == pytest.approx(3.5, rel=1e-13)
     z = np.array([0.2 + 0.1j, -0.7 - 0.3j])
@@ -78,7 +90,7 @@ def test_christoffel_degree_zero_and_monic_norm(p21):
 
 
 def test_christoffel_poly_leading_coefficient(p21):
-    basis = ChristoffelBasis(0.0, p21, 1.5 + 0j, nmax=10)
+    basis = ChristoffelBasis(0.0, p21, 1.5 + 0j)
     R = 1e6
     for N in (1, 2, 4):
         lead = christoffel_poly(basis, N, R + 0j) / R**N
@@ -87,7 +99,7 @@ def test_christoffel_poly_leading_coefficient(p21):
 
 
 def test_christoffel_values_near_charge_limit(p21):
-    basis = ChristoffelBasis(0.0, p21, 0.9 + 0.4j, nmax=10)
+    basis = ChristoffelBasis(0.0, p21, 0.9 + 0.4j)
     at = christoffel_values(basis, 5, np.array([basis.v]))
     near = christoffel_values(basis, 5, np.array([basis.v + 1e-9]))
     np.testing.assert_allclose(at, near, rtol=1e-5)
@@ -95,13 +107,13 @@ def test_christoffel_values_near_charge_limit(p21):
 
 
 def test_christoffel_real_charge_real_axis(p21):
-    basis = ChristoffelBasis(0.0, p21, 1.5 + 0j, nmax=8)
+    basis = ChristoffelBasis(0.0, p21, 1.5 + 0j)
     vals = christoffel_values(basis, 5, np.array([0.25, -0.8]))
     assert np.max(np.abs(vals.imag)) == 0.0
 
 
 def test_closed_entry_matches_quadrature_complex_charge(p21):
-    basis = ChristoffelBasis(0.0, p21, 0.9 + 0.4j, nmax=12)
+    basis = ChristoffelBasis(0.0, p21, 0.9 + 0.4j)
     H = hessenberg(basis, 8)
     worst = max(abs(H.entries[l, n] - christoffel_entry_closed(basis, l, n))
                 for n in range(2, 8) for l in range(n - 1))
@@ -118,7 +130,7 @@ def test_hessenberg_gegenbauer_strategies_agree(p21):
 
 
 def test_hessenberg_rejects_closed_christoffel(p21):
-    basis = ChristoffelBasis(0.0, p21, 1.0 + 0j, nmax=8)
+    basis = ChristoffelBasis(0.0, p21, 1.0 + 0j)
     with pytest.raises(ValueError):
         hessenberg(basis, 5, strategy="closed")
 
@@ -177,7 +189,7 @@ def test_heine_other_geometry():
 
 def test_christoffel_norm_ladder_consistent(p21):
     # h~^(1)_N = h~_{N+1} kappa_{N+2}/kappa_{N+1}
-    basis = ChristoffelBasis(0.7, p21, 0.8 + 0.2j, nmax=10)
+    basis = ChristoffelBasis(0.7, p21, 0.8 + 0.2j)
     for N in range(4):
         ratio = christoffel_norm_monic(basis, N) / monic_norm(0.7, p21, N + 1)
         k1 = bergman_kernel(0.7, p21, N + 2, basis.v, basis.v).real

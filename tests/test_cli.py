@@ -100,8 +100,7 @@ def test_nonfinite_result_exits_one():
 @pytest.mark.parametrize("args", [
     ("norms", "--family", "gegenbauer", "--alpha", "0", "--a", "2", "--b", "1",
      "--nmax", "800", "--format", "csv"),
-    ("limits", "--regime", "hermite", "--n", "1", "--m", "1",
-     "--sequence", "10", "1e4", "--format", "csv"),
+    ("limits", "--regime", "hermite", "--n", "200", "--m", "200", "--format", "csv"),
 ], ids=["norms", "limits"])
 def test_nonfinite_csv_exits_one(args):
     """CSV output refuses NaN and infinity the way JSON output does."""
@@ -151,6 +150,23 @@ def test_contour_deviation_small():
     p = run_cli("contour", "--a", "2", "--b", "1", "--n", "3", "--m", "3")
     doc = json.loads(p.stdout)["data"]
     assert doc["deviation"] < 1e-10
+    assert "n_theta" not in doc
+
+
+def test_contour_has_no_rule_size_flag():
+    """The trapezoid size follows from the degrees, so there is no flag."""
+    assert "--n-theta" not in run_cli("contour", "-h").stdout
+    p = run_cli("contour", "--n", "1", "--m", "1", "--n-theta", "64")
+    assert p.returncode == 1
+
+
+def test_cli_import_leaves_scipy_out():
+    """scipy serves only the verify oracle; importing the CLI skips it."""
+    p = subprocess.run(
+        [sys.executable, "-c", "import ellipoly.cli, sys; print('scipy' in sys.modules)"],
+        capture_output=True, text=True)
+    assert p.returncode == 0
+    assert p.stdout.strip() == "False"
 
 
 def test_verify_subset_exit_zero():

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -111,10 +112,58 @@ def test_reports_carry_parameters(p21):
     assert "closed_diag" in d.extras or d.extras  # formula recorded for diagonals
 
 
-def test_hermite_beyond_area_rule_range_raises(p21):
-    # the Gauss-Jacobi weights of the area rule overflow for alpha above ~1023
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_hermite_runs_to_alpha_1e6(p21, n):
+    """The alpha -> infinity limit followed three decades past the old
+    ceiling near alpha = 1023, at its O(1/alpha) rate."""
+    rep = hermite_limit(p21, n, n, (10.0, 1e2, 1e3, 1e4, 1e5, 1e6))
+    assert rep.verdict
+    assert rep.residuals[-1] <= 1e-5
+
+
+def test_hermite_high_degree_raises_only_out_of_range(p21):
+    """The target pi a b n! (2 x*)^n leaves the double range at n = 138 on
+    p(2,1): degree 200 raises a clear error instead of an OverflowError,
+    while degree 100 at moderate alpha stays finite."""
+    rep = hermite_limit(p21, 100, 100, (10.0, 20.0))
+    assert all(math.isfinite(abs(v)) for v in rep.values)
+    assert math.isfinite(rep.target)
     with pytest.raises(ValueError, match="not finite"):
-        hermite_limit(p21, 1, 1, (10.0, 1e4))
+        hermite_limit(p21, 200, 200, (10.0, 100.0, 1000.0))
+
+
+@pytest.mark.parametrize("alpha", [1100.0, 1e4])
+@pytest.mark.parametrize("a", [1.0, 1.5])
+def test_disc_reference_past_the_old_alpha_ceiling(a, alpha):
+    """The diagonal n! a^{2n} / (2+alpha)_n (by mpmath) and exact zeros off
+    it, where the old reference returned nan."""
+    for n in range(5):
+        for m in range(5):
+            got = disc_reference(a, alpha, n, m)
+            want = mp.factorial(n) * mp.mpf(a) ** (2 * n) / mp.rf(2 + mp.mpf(alpha), n) \
+                if n == m else 0
+            scale = math.sqrt(float(mp.factorial(n) / mp.rf(2 + mp.mpf(alpha), n)
+                                    * mp.factorial(m) / mp.rf(2 + mp.mpf(alpha), m))) \
+                * a ** (n + m)
+            assert abs(got - complex(want)) <= 1e-13 * scale, (n, m)
+
+
+@pytest.mark.parametrize("alpha", [-0.4, 0.0, 2.5])
+def test_realline_target_is_the_closed_diagonal(alpha):
+    """With a unit-mass oracle rule the target needs no prefactor: it is the
+    closed diagonal (1+alpha)/(1+alpha+n) (2+2alpha)_n / n!."""
+    for n in range(7):
+        rep = realline_limit(2.0, n, n, alpha, (0.3, 0.1))
+        assert rep.target == pytest.approx(rep.extras["closed_diagonal"], rel=2e-14)
+
+
+@pytest.mark.parametrize("alpha", [100.0, 1000.0])
+def test_realline_target_at_large_alpha(alpha):
+    for n in range(7):
+        rep = realline_limit(2.0, n, n, alpha, (0.3, 0.1))
+        a = mp.mpf(alpha)
+        want = (1 + a) / (1 + a + n) * mp.rf(2 + 2 * a, n) / mp.factorial(n)
+        assert rep.target == pytest.approx(float(want), rel=1e-13)
 
 
 @pytest.mark.parametrize("p", [make_params(2.0, 1.0), make_params(1.0, 0.3),

@@ -2,8 +2,10 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from scipy.special import roots_jacobi, roots_legendre
 
 from ellipoly import (
     area_measure,
@@ -22,7 +24,7 @@ from ellipoly import (
     moment,
     moment_table,
 )
-from ellipoly.quadrature import _exact_size
+from ellipoly.quadrature import _exact_size, _gauss_jacobi
 
 
 @pytest.mark.parametrize("alpha", [-0.9, 0.0, 1.0, 4.0])
@@ -168,9 +170,74 @@ def test_contour_identity_other_geometry():
         assert val == pytest.approx(closed, rel=1e-11)
 
 
-def test_area_rule_beyond_double_range_raises(p21):
-    with pytest.raises(ValueError, match=r"not finite for alpha = 10000\.0"):
-        build_rule(area_measure(p21, 1e4))
+@pytest.mark.parametrize("alpha", [1e4, 1e6])
+def test_area_rule_past_the_old_alpha_ceiling(p21, alpha):
+    """alpha above about 1023 once overflowed the radial weight scale; now
+    the rule has unit mass and integrates t^j = |x/a|^2 + |y/b|^2 to the
+    j-th power exactly: E[t^j] = j! / (2+alpha)_j under (1+alpha)(1-t)^alpha."""
+    rule = build_rule(area_measure(p21, alpha), n_radial=12, n_angular=24)
+    assert np.all(np.isfinite(rule.weights)) and np.all(rule.weights > 0)
+    t = (rule.nodes.real / p21.a) ** 2 + (rule.nodes.imag / p21.b) ** 2
+    for j in range(24):
+        want = mp.factorial(j) / mp.rf(2 + mp.mpf(alpha), j)
+        assert abs(math.fsum(rule.weights * t ** j) / want - 1) <= 1e-13, j
+
+
+def test_rule_needs_a_radial_node(p21):
+    with pytest.raises(ValueError, match="at least one node"):
+        build_rule(area_measure(p21, 0.0), n_radial=0)
+
+
+GAUSS_ALPHAS = [-0.9, -0.5, 0.0, 1.0, 2.5, 10.0, 100.0, 1000.0]
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 12, 96])
+@pytest.mark.parametrize("alpha", GAUSS_ALPHAS)
+@pytest.mark.parametrize("pair", ["area", "realline"])
+def test_gauss_jacobi_matches_scipy(k, alpha, pair):
+    """The (alpha, 0) pair of the area rules and the (alpha+1/2, alpha+1/2)
+    pair of the real-line oracle against scipy's rules, mapped to t and
+    scaled to unit mass."""
+    a, b = (alpha, 0.0) if pair == "area" else (alpha + 0.5, alpha + 0.5)
+    t, w = _gauss_jacobi(k, a, b)
+    x, ws = roots_jacobi(k, a, b)
+    assert np.max(np.abs(2.0 * t - 1.0 - x)) <= 1e-14
+    assert np.max(np.abs(w - ws / ws.sum())) <= 1e-11
+    assert math.fsum(w) == pytest.approx(1.0, abs=5e-13)
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 12, 96])
+def test_gauss_legendre_matches_scipy(k):
+    t, w = _gauss_jacobi(k, 0.0, 0.0)
+    x, ws = roots_legendre(k)
+    assert np.max(np.abs(2.0 * t - 1.0 - x)) <= 1e-14
+    assert np.max(np.abs(w - ws / 2.0)) <= 1e-14
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 12, 20])
+@pytest.mark.parametrize("a", [1e4, 1e6])
+def test_gauss_jacobi_exact_past_scipy_range(k, a):
+    """Beyond scipy's range, every monomial t^j with j < 2k integrates to
+    B(j+1, a+1) / B(1, a+1), by mpmath."""
+    t, w = _gauss_jacobi(k, a, 0.0)
+    for j in range(2 * k):
+        want = mp.beta(j + 1, a + 1) / mp.beta(1, a + 1)
+        assert abs(math.fsum(w * t ** j) / want - 1) <= 1e-13, j
+
+
+def test_contour_exact_at_its_degree_sized_rule():
+    """n + m + 3 points resolve every Laurent degree of the integrand, past
+    the 256 points of the old fixed rule too."""
+    for p in (make_params(2.0, 1.0), make_params(1.5, 0.4)):
+        q2 = (p.r / p.c) ** 2
+        for n, m in [(i, j) for i in range(11) for j in range(11)] + [(200, 200), (150, 149)]:
+            k = max(n, m)
+            scale = math.pi * (k + 1) / 2 * (q2 ** (k + 1) - q2 ** -(k + 1))
+            closed = 1j * math.pi * (n + 1) / 2 * (q2 ** (n + 1) - q2 ** -(n + 1)) \
+                if n == m else 0.0
+            assert abs(contour_check(p, n, m) - closed) <= 1e-13 * scale, (n, m)
+    with pytest.raises(ValueError, match="nonnegative"):
+        contour_check(make_params(2.0, 1.0), 0, -1)
 
 
 @pytest.mark.parametrize("alpha", [-0.9, 0.0, 3.7])
