@@ -21,7 +21,7 @@ from ._serialize import dumps, params_dict, write_csv
 from .bergman import ChristoffelBasis, GegenbauerBasis, bandwidth, hessenberg
 from .geometry import derived_params, make_params
 from .limits import disc_limit, hermite_limit, realline_limit
-from .norms import canonical_measure, closed_norm, gram_matrix
+from .norms import _closed_norms, canonical_measure, gram_matrix
 from .polynomials import (
     PolynomialFamily,
     chebyshev_t,
@@ -148,8 +148,7 @@ def _cmd_norms(args) -> int:
     if args.n is None and args.nmax < 0:
         raise ValueError(f"--nmax must be nonnegative, got {args.nmax}")
     ns = [args.n] if args.n is not None else list(range(args.nmax + 1))
-    values = [closed_norm(fam, p, n, normalized=convention == "normalized")
-              for n in ns]
+    values = _closed_norms(fam, p, ns[-1], normalized=convention == "normalized")[ns].tolist()
     if args.format == "csv":
         _emit(args, write_csv(["n", "norm"], list(zip(ns, values))))
         return 0

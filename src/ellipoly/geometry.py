@@ -174,7 +174,6 @@ class MeasureKind(Enum):
     CHEBYSHEV_T = "chebyshev_t"
     CHEBYSHEV_V = "chebyshev_v"
     CHEBYSHEV_W = "chebyshev_w"
-    FLAT = "flat"
 
 
 # measures that carry an alpha parameter
@@ -190,7 +189,8 @@ class Measure:
     mass one), and d^2z/(pi*a*b*...) for the Chebyshev weights.
 
     normalized=False is the flat-d^2z convention: the bare densities
-    (1 - h)^alpha d^2z, d^2z/|z^2 - c^2|, d^2z/|c + z|, d^2z/|c - z|, d^2z.
+    (1 - h)^alpha d^2z (plain d^2z at alpha = 0), d^2z/|z^2 - c^2|,
+    d^2z/|c + z|, d^2z/|c - z|.
     Chebyshev closed norms are classically quoted in this convention.
     """
 
@@ -218,7 +218,7 @@ class Measure:
             return 2.0 * math.pi * p.b / (1.0 + al)
         if self.kind == MeasureKind.B_PLUS:
             return 2.0 * math.pi * p.a * p.b / ((1.0 + al) * (2.0 + al))
-        # Chebyshev and flat: normalized form is defined as flat / (pi a b)
+        # Chebyshev: normalized form is defined as flat / (pi a b)
         return math.pi * p.a * p.b
 
 
@@ -253,8 +253,8 @@ def chebyshev_w_measure(params: EllipseParams, normalized: bool = False) -> Meas
 
 
 def flat_measure(params: EllipseParams, normalized: bool = False) -> Measure:
-    """Unweighted d^2z (flat) or dA = d^2z/(pi a b) (normalized)."""
-    return Measure(MeasureKind.FLAT, params, None, normalized)
+    """Unweighted d^2z (flat) or dA = d^2z/(pi a b): the alpha = 0 area weight."""
+    return area_measure(params, 0.0, normalized)
 
 
 def weight_density(m: Measure, z) -> float:
@@ -283,12 +283,10 @@ def weight_density(m: Measure, z) -> float:
         if z == p.c:
             raise ValueError("Chebyshev-V weight is singular at z = c")
         base = 1.0 / abs(p.c - z)
-    elif m.kind == MeasureKind.CHEBYSHEV_W:
+    else:
         if z == -p.c:
             raise ValueError("Chebyshev-W weight is singular at z = -c")
         base = 1.0 / abs(p.c + z)
-    else:  # FLAT
-        base = 1.0
     # base is the flat d^2z density, and d^2z = pi a b dA
     flat = math.pi * p.a * p.b * base
     return flat / m.flat_factor if m.normalized else flat

@@ -26,7 +26,7 @@ import numpy as np
 
 from .geometry import EllipseParams, area_measure, make_params
 from .norms import monic_factor
-from .polynomials import gegenbauer_matrix, lnpoch
+from .polynomials import gegenbauer_matrix
 from .quadrature import _exact_size, _gauss_jacobi, build_rule
 
 __all__ = [
@@ -44,6 +44,12 @@ class LimitRegime(Enum):
     HERMITE_PLANE = "hermite_plane"
     DISC_TRUNCATED_UNITARY = "disc_truncated_unitary"
     REAL_LINE = "real_line"
+
+
+# Verdict bounds of each regime (see LimitReport.verdict)
+_HERMITE_BOUNDS = {"tolerance": 1e-2, "noise_floor": 1e-8}
+_DISC_BOUNDS = {"tolerance": 1e-3, "noise_floor": 1e-12}
+_REALLINE_BOUNDS = {"tolerance": 1e-2, "noise_floor": 1e-10}
 
 
 @dataclass(frozen=True)
@@ -101,6 +107,12 @@ def _planar_entry(p: EllipseParams, alpha: float, n: int, m: int) -> complex:
     return np.sum(rule.weights * C[n] * np.conj(C[m]))
 
 
+def _log_ratio_product(u: float, v: float, n: int) -> float:
+    """log((u)_n / (v)_n) summed from log(u + j) - log(v + j), j < n: exact to
+    the terms' roundoff, where lgamma differences lose eps * lgamma(v + n)."""
+    return math.fsum([math.log(u + j) for j in range(n)] + [-math.log(v + j) for j in range(n)])
+
+
 def _times_exp(value, log_scale: float):
     """value * exp(log_scale) as one exponential, so that a scale outside the
     double range does not overflow when the product lies inside it."""
@@ -112,8 +124,7 @@ def _times_exp(value, log_scale: float):
     return value / abs(value) * math.exp(log_mag)
 
 
-def hermite_limit(p: EllipseParams, n: int, m: int, alpha_sequence,
-                  tolerance: float = 1e-2, noise_floor: float = 1e-8) -> LimitReport:
+def hermite_limit(p: EllipseParams, n: int, m: int, alpha_sequence) -> LimitReport:
     """alpha -> infinity: the rescaled Gegenbauer inner products
 
         I_nm(alpha) = pi a b n! m! (1+alpha)^{-(n+m)/2} <C_n(z/c), C_m(z/c)>_alpha
@@ -137,8 +148,7 @@ def hermite_limit(p: EllipseParams, n: int, m: int, alpha_sequence,
     residuals = tuple(_entry_residual(v, target, n == m) for v in values)
     return LimitReport(regime=LimitRegime.HERMITE_PLANE, n=n, m=m,
                        parameters=alphas, values=tuple(values), target=target,
-                       residuals=residuals, tolerance=tolerance,
-                       noise_floor=noise_floor,
+                       residuals=residuals, **_HERMITE_BOUNDS,
                        extras={"residual_kind": "relative diag / absolute offdiag",
                                "rule_nodes": [k, 2 * k],
                                "rate": "O(1/alpha)"})
@@ -157,8 +167,7 @@ def disc_reference(a: float, alpha: float, n: int, m: int) -> complex:
     return complex(np.sum((u / (2 * k))[:, None] * z ** n * np.conj(z) ** m))
 
 
-def disc_limit(a: float, n: int, m: int, alpha: float, b_sequence,
-               tolerance: float = 1e-3, noise_floor: float = 1e-12) -> LimitReport:
+def disc_limit(a: float, n: int, m: int, alpha: float, b_sequence) -> LimitReport:
     """b -> a: the monic inner products <ptilde_n, ptilde_m> under dA_alpha
     on the ellipse (a, b) approach the disc moments <z^n, z^m> of radius a
     (the monic polynomials degenerate to monomials; truncated-unitary
@@ -180,12 +189,11 @@ def disc_limit(a: float, n: int, m: int, alpha: float, b_sequence,
     values = [complex(monic_factor(alpha, p, n) * monic_factor(alpha, p, m)
                       * _planar_entry(p, alpha, n, m)) for p in ps]
     residuals = tuple(abs(v - target) for v in values)
-    closed_diag = math.exp(math.lgamma(n + 1) + 2 * n * math.log(a)
-                           - lnpoch(2.0 + alpha, n)) if n == m else 0.0
+    closed_diag = math.exp(_log_ratio_product(1.0, 2.0 + alpha, n)
+                           + 2 * n * math.log(a)) if n == m else 0.0
     return LimitReport(regime=LimitRegime.DISC_TRUNCATED_UNITARY, n=n, m=m,
                        parameters=bs, values=tuple(values), target=target,
-                       residuals=residuals, tolerance=tolerance,
-                       noise_floor=noise_floor,
+                       residuals=residuals, **_DISC_BOUNDS,
                        extras={"residual_kind": "absolute",
                                "rule_nodes": [k, 2 * k],
                                "closed_diagonal": closed_diag,
@@ -200,8 +208,7 @@ def realline_constant(alpha: float) -> float:
         math.lgamma(1.0 + alpha) - math.lgamma(alpha + 1.5))
 
 
-def realline_limit(a: float, n: int, m: int, alpha: float, b_sequence,
-                   tolerance: float = 1e-2, noise_floor: float = 1e-10) -> LimitReport:
+def realline_limit(a: float, n: int, m: int, alpha: float, b_sequence) -> LimitReport:
     """b -> 0: the planar inner products <C_n(z/c), C_m(z/c)>_alpha approach
 
         (2 (1+alpha)/pi) F(1/2, -alpha; 3/2; 1) *
@@ -228,11 +235,10 @@ def realline_limit(a: float, n: int, m: int, alpha: float, b_sequence,
     values = [complex(_planar_entry(make_params(a, b), alpha, n, m)) for b in bs]
     residuals = tuple(_entry_residual(v, target, n == m) for v in values)
     closed_diag = (1.0 + alpha) / (1.0 + alpha + n) * math.exp(
-        lnpoch(2.0 + 2.0 * alpha, n) - math.lgamma(n + 1)) if n == m else 0.0
+        _log_ratio_product(2.0 + 2.0 * alpha, 1.0, n)) if n == m else 0.0
     return LimitReport(regime=LimitRegime.REAL_LINE, n=n, m=m,
                        parameters=bs, values=tuple(values), target=target,
-                       residuals=residuals, tolerance=tolerance,
-                       noise_floor=noise_floor,
+                       residuals=residuals, **_REALLINE_BOUNDS,
                        extras={"residual_kind": "relative diag / absolute offdiag",
                                "rule_nodes": [k, 2 * k],
                                "oracle_nodes": k,

@@ -29,9 +29,10 @@ from .geometry import (
 from .polynomials import (
     FamilyKind,
     PolynomialFamily,
-    eval_gegenbauer,
+    _gegenbauer_norms,
     eval_terminating_2f1,
     family_matrix,
+    gegenbauer_matrix,
     gegenbauer_norm,
     lnpoch,
 )
@@ -62,12 +63,8 @@ def canonical_measure(family: PolynomialFamily, p: EllipseParams) -> Measure:
     k = family.kind
     if k == FamilyKind.GEGENBAUER:
         return area_measure(p, family.alpha)
-    if k == FamilyKind.LEGENDRE:
-        return area_measure(p, -0.5)
     if k == FamilyKind.JACOBI_HALF:
-        if family.sign == -1:
-            return b_minus_measure(p, family.alpha)
-        return b_plus_measure(p, family.alpha)
+        return (b_minus_measure if family.sign == -1 else b_plus_measure)(p, family.alpha)
     if k == FamilyKind.CHEBYSHEV_T:
         return chebyshev_t_measure(p)
     if k == FamilyKind.CHEBYSHEV_U:
@@ -77,6 +74,60 @@ def canonical_measure(family: PolynomialFamily, p: EllipseParams) -> Measure:
     if k == FamilyKind.CHEBYSHEV_W:
         return chebyshev_w_measure(p)
     raise ValueError(f"{k.value} has no canonical planar weight")
+
+
+def _norm_table(family: PolynomialFamily, p: EllipseParams, nmax: int) -> np.ndarray:
+    """h_0..h_nmax of the family (argument z/c) under its canonical weight and
+    convention, from one pass; entries past the double range are non-finite.
+
+    P_n^{(alpha+1/2, -+1/2)} under dB^-+ (normalized, a and c of the
+    measure's own ellipse) read rows 2n and 2n+1 of one C_k^{(1+alpha)}(a/c)
+    ladder; the flat Chebyshev norms are powers of q = r/c.
+    """
+    k = family.kind
+    if k == FamilyKind.GEGENBAUER:
+        return _gegenbauer_norms(family.alpha, p, nmax)
+    n = np.arange(nmax + 1.0)
+    q = p.r / p.c
+    with np.errstate(all="ignore"):
+        if k == FamilyKind.JACOBI_HALF:
+            al = family.alpha
+            C = gegenbauer_matrix(al, 2 * nmax + 1, p.a / p.c).real
+            # ((1/2)_m / (1+alpha)_m)^2 for m = 0..nmax+1, summed in logs
+            ratio = np.concatenate(([1.0], (0.5 + n) / (al + 1.0 + n)))
+            r2 = np.exp(2.0 * np.cumsum(np.log(ratio)))
+            if family.sign == -1:
+                return r2[:-1] * (1.0 + al) / (1.0 + al + 2 * n) * C[0::2]
+            pref = 2.0 * p.c * (1.0 + al) * (2.0 + al) / (p.a * (2.0 + al + 2 * n))
+            return pref * r2[1:] * C[1::2]
+        if k == FamilyKind.CHEBYSHEV_T:
+            h = math.pi / (4.0 * n) * (q ** (2 * n) - q ** (-2 * n))
+            h[0] = 2.0 * math.pi * math.log(q)
+            return h
+        if k == FamilyKind.CHEBYSHEV_U:
+            return math.pi * p.c ** 2 / (4.0 * (n + 1)) * (q ** (2 * n + 2) - q ** (-2 * n - 2))
+        if k in (FamilyKind.CHEBYSHEV_V, FamilyKind.CHEBYSHEV_W):
+            # V and W share the same norm; the weights are mirror images.
+            return math.pi * p.c / (1.0 + 2 * n) * (q ** (2 * n + 1) - q ** (-2 * n - 1))
+    raise ValueError(f"{k.value} has no canonical planar weight")
+
+
+def _closed_norms(family: PolynomialFamily, p: EllipseParams, nmax: int,
+                  normalized: bool | None = None) -> np.ndarray:
+    """closed_norm for every degree 0..nmax, from one table."""
+    if nmax < 0:
+        raise ValueError("degree must be nonnegative")
+    h = _norm_table(family, p, nmax)
+    bad = np.flatnonzero(~np.isfinite(h))
+    if bad.size:
+        raise ValueError(f"{family.kind.value} norm h_{nmax} is not finite: the "
+                         f"norms overflow the double range from degree {bad[0]}")
+    if normalized is None:
+        return h
+    measure = canonical_measure(family, p)
+    if normalized == measure.normalized:
+        return h
+    return h * measure.flat_factor if measure.normalized else h / measure.flat_factor
 
 
 def closed_norm(family: PolynomialFamily, p: EllipseParams, n: int,
@@ -89,60 +140,7 @@ def closed_norm(family: PolynomialFamily, p: EllipseParams, n: int,
     pass True/False to force a convention, converted via Measure.flat_factor.
     Raises ValueError when the norm is not finite in double precision.
     """
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
-    measure = canonical_measure(family, p)
-    k = family.kind
-    try:
-        if k == FamilyKind.GEGENBAUER:
-            value = gegenbauer_norm(family.alpha, p, n)
-        elif k == FamilyKind.LEGENDRE:
-            value = gegenbauer_norm(-0.5, p, n)
-        elif k == FamilyKind.JACOBI_HALF:
-            value = _jacobi_half_norm(family.alpha, family.sign, p, n)
-        else:
-            value = _chebyshev_norm(k, p, n)
-    except OverflowError:
-        value = math.inf
-    if not math.isfinite(value):
-        raise ValueError(f"{k.value} norm h_{n} is not finite in double precision")
-
-    if normalized is None or normalized == measure.normalized:
-        return value
-    factor = measure.flat_factor
-    return value * factor if measure.normalized else value / factor
-
-
-def _jacobi_half_norm(alpha: float, sign: int, p: EllipseParams, n: int) -> float:
-    """Norms of P_n^{(alpha+1/2, -1/2)} under dB^- and P_n^{(alpha+1/2, +1/2)}
-    under dB^+, both normalized; a and c are those of the measure's own
-    ellipse (for the image of a quadratic focal map, the derived one)."""
-    x = p.a / p.c
-    if sign == -1:
-        lr = 2.0 * (lnpoch(0.5, n) - lnpoch(alpha + 1.0, n))
-        cn = eval_gegenbauer(alpha, 2 * n, x).real
-        return math.exp(lr) * (1.0 + alpha) / (1.0 + alpha + 2 * n) * cn
-    lr = 2.0 * (lnpoch(0.5, n + 1) - lnpoch(alpha + 1.0, n + 1))
-    cn = eval_gegenbauer(alpha, 2 * n + 1, x).real
-    pref = 2.0 * p.c * (1.0 + alpha) * (2.0 + alpha) / (p.a * (2.0 + alpha + 2 * n))
-    return pref * math.exp(lr) * cn
-
-
-def _chebyshev_norm(kind: FamilyKind, p: EllipseParams, n: int) -> float:
-    """Flat-d^2z norms over the ellipse of T, U, V, W at argument z/c.
-
-    T pairs with d^2z/|z^2-c^2|, U with plain d^2z, and the third/fourth
-    kinds with d^2z/|c -+ z| (V with |c-z|, W with |c+z|).
-    """
-    q = p.r / p.c
-    if kind == FamilyKind.CHEBYSHEV_T:
-        if n == 0:
-            return 2.0 * math.pi * math.log(q)
-        return math.pi / (4.0 * n) * (q ** (2 * n) - q ** (-2 * n))
-    if kind == FamilyKind.CHEBYSHEV_U:
-        return math.pi * p.c ** 2 / (4.0 * (n + 1)) * (q ** (2 * n + 2) - q ** (-2 * n - 2))
-    # V and W share the same norm; the weights are mirror images.
-    return math.pi * p.c / (1.0 + 2 * n) * (q ** (2 * n + 1) - q ** (-2 * n - 1))
+    return float(_closed_norms(family, p, n, normalized)[n])
 
 
 @dataclass(frozen=True)
@@ -199,13 +197,9 @@ def gram_matrix(family: PolynomialFamily, measure: Measure, nmax: int,
     off = G - np.diag(np.diag(G))
     max_offdiag = float(np.abs(off).max()) if nmax > 0 else 0.0
 
-    closed_diag = None
-    rel = None
+    closed_diag = rel = None
     if _is_canonical(family, measure):
-        closed_diag = np.array([
-            closed_norm(family, p, n, normalized=measure.normalized)
-            for n in range(nmax + 1)
-        ])
+        closed_diag = _closed_norms(family, p, nmax, normalized=measure.normalized)
         rel = np.abs(diag - closed_diag) / np.abs(closed_diag)
     return GramResult(family=family, measure=measure, nmax=nmax, matrix=G,
                       max_offdiag=max_offdiag, diag=diag, closed_diag=closed_diag,
@@ -248,6 +242,11 @@ def gram_schmidt(measure: Measure, nmax: int,
     return [C[n, : n + 1] for n in range(nmax + 1)]
 
 
+def _log_monic_factor(alpha: float, p: EllipseParams, n: int) -> float:
+    """log of monic_factor, finite where the factor itself overflows."""
+    return math.lgamma(n + 1) + n * math.log(p.c / 2.0) - lnpoch(1.0 + alpha, n)
+
+
 def monic_factor(alpha: float, p: EllipseParams, n: int) -> float:
     """Factor turning C_n^{(1+alpha)}(z/c) into the monic polynomial in z:
 
@@ -255,7 +254,7 @@ def monic_factor(alpha: float, p: EllipseParams, n: int) -> float:
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    return math.exp(math.lgamma(n + 1) + n * math.log(p.c / 2.0) - lnpoch(1.0 + alpha, n))
+    return math.exp(_log_monic_factor(alpha, p, n))
 
 
 def log_monic_norm(alpha: float, p: EllipseParams, n: int,
@@ -272,8 +271,7 @@ def log_monic_norm(alpha: float, p: EllipseParams, n: int,
     if not alpha > -1.0:
         raise ValueError(f"alpha must exceed -1, got {alpha}")
     if method == "gegenbauer":
-        return 2.0 * math.log(monic_factor(alpha, p, n)) + math.log(
-            gegenbauer_norm(alpha, p, n))
+        return 2.0 * _log_monic_factor(alpha, p, n) + math.log(gegenbauer_norm(alpha, p, n))
     if method == "hypergeometric":
         f = eval_terminating_2f1(n, 2.0 + 2.0 * alpha + n, alpha + 1.5,
                                  -(p.b / p.c) ** 2)
@@ -292,5 +290,10 @@ def log_monic_norm(alpha: float, p: EllipseParams, n: int,
 
 def monic_norm(alpha: float, p: EllipseParams, n: int,
                method: str = "gegenbauer") -> float:
-    """Squared norm htilde_n of the monic polynomial under dA_alpha."""
-    return math.exp(log_monic_norm(alpha, p, n, method=method))
+    """Squared norm htilde_n of the monic polynomial under dA_alpha; raises
+    ValueError when htilde_n is beyond the double range."""
+    log_h = log_monic_norm(alpha, p, n, method=method)
+    try:
+        return math.exp(log_h)
+    except OverflowError:
+        raise ValueError(f"htilde_{n} = exp({log_h!r}) overflows the double range") from None

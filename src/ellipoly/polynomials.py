@@ -45,7 +45,6 @@ __all__ = [
 
 class FamilyKind(Enum):
     GEGENBAUER = "gegenbauer"
-    LEGENDRE = "legendre"
     CHEBYSHEV_T = "chebyshev_t"
     CHEBYSHEV_U = "chebyshev_u"
     CHEBYSHEV_V = "chebyshev_v"
@@ -86,7 +85,7 @@ def gegenbauer(alpha: float) -> PolynomialFamily:
 
 
 def legendre() -> PolynomialFamily:
-    return PolynomialFamily(FamilyKind.LEGENDRE)
+    return gegenbauer(-0.5)   # P_n = C_n^{(1/2)}
 
 
 def chebyshev_t() -> PolynomialFamily:
@@ -178,8 +177,6 @@ def family_matrix(family: PolynomialFamily, nmax: int, z) -> np.ndarray:
     kind = family.kind
     if kind == FamilyKind.GEGENBAUER:
         return gegenbauer_matrix(family.alpha, nmax, z)
-    if kind == FamilyKind.LEGENDRE:
-        return gegenbauer_matrix(-0.5, nmax, z)
     if kind in _CHEBYSHEV_FIRST:
         return _forward(nmax, z, _CHEBYSHEV_FIRST[kind],
                         lambda k, z, pk, pm: 2.0 * z * pk - pm)
@@ -261,7 +258,8 @@ def _gegenbauer_norms(alpha: float, p: EllipseParams, nmax: int) -> np.ndarray:
     if not alpha > -1.0:
         raise ValueError(f"alpha must exceed -1, got {alpha}")
     k = np.arange(nmax + 1)
-    return (1.0 + alpha) / (1.0 + alpha + k) * gegenbauer_matrix(alpha, nmax, p.x_star).real
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (1.0 + alpha) / (1.0 + alpha + k) * gegenbauer_matrix(alpha, nmax, p.x_star).real
 
 
 def gegenbauer_norm(alpha: float, p: EllipseParams, n: int) -> float:
@@ -275,7 +273,7 @@ def gegenbauer_norm(alpha: float, p: EllipseParams, n: int) -> float:
         raise ValueError("degree must be nonnegative")
     h = float(_gegenbauer_norms(alpha, p, n)[n])
     if not math.isfinite(h):
-        raise ValueError(f"h_{n} is not finite ({h}) for alpha = {alpha}: C_{n}(x_star) overflows")
+        raise ValueError(f"h_{n} is not finite for alpha = {alpha}: C_{n}(x_star) overflows")
     return h
 
 

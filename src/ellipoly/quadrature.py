@@ -146,10 +146,10 @@ def build_rule(measure: Measure,
         raise ValueError("n_angular must be even (antipodal node symmetry)")
     p = measure.params
     kind = measure.kind
-    # FLAT and the Chebyshev V/W rules are the alpha = 0 area-type rules.
+    # The Chebyshev V/W rules are the alpha = 0 area-type rules.
     alpha = 0.0 if measure.alpha is None else measure.alpha
 
-    if kind in (MeasureKind.AREA_ALPHA, MeasureKind.FLAT):
+    if kind == MeasureKind.AREA_ALPHA:
         nodes, weights = _area_rule(p, alpha, n_radial, n_angular)
     elif kind == MeasureKind.CHEBYSHEV_T:
         nodes, weights = _chebyshev_t_rule(p, n_radial, n_angular)

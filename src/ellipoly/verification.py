@@ -139,15 +139,12 @@ def check_contour_identity() -> CheckResult:
     equals i pi (n+1)/2 [(r/c)^{2n+2} - (c/r)^{2n+2}] delta_nm to 1e-10,
     scaled by the diagonal magnitude, for n, m <= 10."""
     q = P21.r / P21.c
+    closed = [math.pi * (k + 1) / 2.0 * (q ** (2 * k + 2) - q ** (-2 * k - 2)) for k in range(11)]
     worst = 0.0
     for n in range(11):
-        closed_n = math.pi * (n + 1) / 2.0 * (q ** (2 * n + 2) - q ** (-2 * n - 2))
         for m in range(11):
-            val = contour_check(P21, n, m)
-            expected = 1j * closed_n if n == m else 0.0
-            k = max(n, m)
-            scale = math.pi * (k + 1) / 2.0 * (q ** (2 * k + 2) - q ** (-2 * k - 2))
-            worst = max(worst, abs(val - expected) / scale)
+            expected = 1j * closed[n] if n == m else 0.0
+            worst = max(worst, abs(contour_check(P21, n, m) - expected) / closed[max(n, m)])
     passed = worst <= 1e-10
     return CheckResult(
         name="contour_identity",
@@ -370,7 +367,7 @@ def check_limit_regimes() -> CheckResult:
     worst_hermite = 0.0
     for n in range(4):
         for m in range(4):
-            rep = hermite_limit(P21, n, m, (10.0, 100.0, 1000.0), tolerance=1e-2)
+            rep = hermite_limit(P21, n, m, (10.0, 100.0, 1000.0))
             worst_hermite = max(worst_hermite, rep.residuals[-1])
             if not rep.verdict:
                 hermite_bad.append((n, m))
@@ -379,8 +376,7 @@ def check_limit_regimes() -> CheckResult:
     for alpha in (0.0, 2.0):
         for n in range(4):
             for m in range(4):
-                rep = disc_limit(1.0, n, m, alpha, (0.9, 0.99, 0.999),
-                                 tolerance=1e-3)
+                rep = disc_limit(1.0, n, m, alpha, (0.9, 0.99, 0.999))
                 worst_disc = max(worst_disc, rep.residuals[-1])
                 if not rep.verdict:
                     disc_bad.append((alpha, n, m))
@@ -388,8 +384,7 @@ def check_limit_regimes() -> CheckResult:
     worst_real = 0.0
     for n in range(5):
         for m in range(5):
-            rep = realline_limit(2.0, n, m, 0.0, (0.3, 0.1, 0.03),
-                                 tolerance=1e-2)
+            rep = realline_limit(2.0, n, m, 0.0, (0.3, 0.1, 0.03))
             worst_real = max(worst_real, rep.residuals[-1])
             if not rep.verdict:
                 real_bad.append((n, m))

@@ -15,6 +15,12 @@ def record_criterion(number, passed, detail):
     CRITERION_LINES[number] = (bool(passed), detail)
 
 
+def pytest_configure(config):
+    # The library reports overflow by a clear ValueError; a numpy
+    # RuntimeWarning raised from its code fails the test that triggered it.
+    config.addinivalue_line("filterwarnings", "error::RuntimeWarning:ellipoly")
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     if not CRITERION_LINES:
         return

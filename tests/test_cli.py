@@ -216,3 +216,31 @@ def test_degree_sized_commands_take_no_rule_flags(command):
     p = run_cli(command, "-h")
     assert p.returncode == 0
     assert "--n-radial" not in p.stdout and "--n-angular" not in p.stdout
+
+
+def test_selberg_past_the_monic_factor_range_exits_one():
+    """At a = 1000 the monic factors overflow alone, yet log Z_150 is finite;
+    only Z_150 itself is out of range, so the command refuses it cleanly."""
+    p = run_cli("selberg", "--a", "1000", "--b", "1", "--alpha", "0", "--N", "150")
+    assert p.returncode == 1
+    assert p.stdout == ""
+    assert "only log Z_N is representable" in p.stderr
+    assert "Traceback" not in p.stderr
+
+
+@pytest.mark.parametrize("family", [("gegenbauer", "--alpha", "0.5"),
+                                    ("jacobi-minus", "--alpha", "0.5"), ("chebyshev-u",)],
+                         ids=lambda f: f[0])
+def test_norms_table_is_the_per_degree_closed_norm(capsys, family):
+    """The one-pass --nmax table prints exactly the per-degree closed_norm values."""
+    from ellipoly import chebyshev_u, closed_norm, gegenbauer, jacobi_half, make_params
+    from ellipoly.cli import main
+
+    assert main(["norms", "--family", *family, "--nmax", "600", "--a", "1", "--b", "0.5",
+                 "--format", "csv"]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    fam = {"gegenbauer": gegenbauer(0.5), "jacobi-minus": jacobi_half(0.5, -1),
+           "chebyshev-u": chebyshev_u()}[family[0]]
+    p = make_params(1.0, 0.5)
+    assert [int(n) for n, _ in rows] == list(range(601))
+    assert [float(v) for _, v in rows] == [closed_norm(fam, p, n) for n in range(601)]

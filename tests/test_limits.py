@@ -197,3 +197,21 @@ def test_reports_record_rule_sizes(p21):
     real = realline_limit(2.0, 4, 4, 0.0, (0.3, 0.1))
     assert real.extras["rule_nodes"] == [5, 10]
     assert real.extras["oracle_nodes"] == 5
+
+
+@pytest.mark.parametrize("alpha", [1e3, 1e4])
+def test_closed_diagonals_at_large_alpha(alpha):
+    """The recorded closed diagonals n! a^{2n}/(2+alpha)_n (disc) and
+    (1+alpha)/(1+alpha+n) (2+2alpha)_n/n! (real line) are summed from
+    log(. + j) terms, so they stay at roundoff where lgamma differences lost
+    about eps * lgamma(alpha); against mpmath at 50 digits."""
+    with mp.workdps(50):
+        al = mp.mpf(alpha)
+        for n in range(6):
+            for a in (1.0, 1.5):
+                got = disc_limit(a, n, n, alpha, (0.9 * a, 0.99 * a)).extras["closed_diagonal"]
+                want = mp.factorial(n) * mp.mpf(a) ** (2 * n) / mp.rf(2 + al, n)
+                assert abs(got - want) <= 1e-14 * want, (n, a)
+            got = realline_limit(2.0, n, n, alpha, (0.3, 0.1)).extras["closed_diagonal"]
+            want = (1 + al) / (1 + al + n) * mp.rf(2 + 2 * al, n) / mp.factorial(n)
+            assert abs(got - want) <= 1e-14 * want, n

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -36,6 +37,7 @@ from ellipoly import (
     monic_norm,
     orthonormal_values,
 )
+from ellipoly.norms import _closed_norms, _norm_table
 from ellipoly.polynomials import CoefficientVector, family_matrix
 
 
@@ -298,3 +300,86 @@ def test_log_monic_norm_rejects_alpha_at_most_minus_one(p21, method, alpha):
 def test_closed_norm_rejects_hermite(p21):
     with pytest.raises(ValueError, match="hermite has no canonical planar weight"):
         closed_norm(hermite(), p21, 2)
+
+
+_TABLE_FAMILIES = [gegenbauer(0.5), legendre(), chebyshev_t(), chebyshev_u(),
+                   chebyshev_v(), chebyshev_w(), jacobi_half(0.5, -1), jacobi_half(0.5, 1)]
+
+
+@pytest.mark.parametrize("nmax", [0, 1, 50, 600])
+@pytest.mark.parametrize("family", _TABLE_FAMILIES,
+                         ids=["gegenbauer", "legendre", "chebyshev_t", "chebyshev_u",
+                              "chebyshev_v", "chebyshev_w", "jacobi_minus", "jacobi_plus"])
+def test_closed_norm_is_the_table_entry(p21, family, nmax):
+    """closed_norm is entry n of the one-pass table, bit for bit, in the
+    canonical convention and in both forced ones (every tenth degree of the
+    long table, whose per-degree calls cost O(nmax^2))."""
+    assert np.array_equal(_closed_norms(family, p21, nmax), _norm_table(family, p21, nmax))
+    degrees = sorted({*range(0, nmax + 1, 1 if nmax <= 50 else 10), nmax})
+    for normalized in (None, True, False):
+        table = _closed_norms(family, p21, nmax, normalized)[degrees].tolist()
+        assert [closed_norm(family, p21, n, normalized) for n in degrees] == table
+
+
+def _mp_norm(name, alpha, b, n):
+    """Closed norm on the ellipse (1, b) at 50 digits, by routes the library
+    does not take: Legendre and Jacobi values, and sinh forms of q-powers."""
+    with mp.workdps(50):
+        b, al = mp.mpf(b), mp.mpf(alpha)
+        c = mp.sqrt(1 - b * b)
+        xs, y = (1 + b * b) / (c * c), 2 / (c * c) - 1   # x_star and 2 (a/c)^2 - 1
+        if name == "gegenbauer":
+            return (1 + al) / (1 + al + n) * mp.gegenbauer(n, 1 + al, xs)
+        if name == "legendre":
+            return mp.legendre(n, xs) / (1 + 2 * n)
+        if name == "jacobi_minus":
+            ratio = mp.rf(mp.mpf(0.5), n) / mp.rf(1 + al, n)
+            return ratio * (1 + al) / (1 + al + 2 * n) * mp.jacobi(n, al + 0.5, -0.5, y)
+        if name == "jacobi_plus":
+            ratio = mp.rf(mp.mpf(0.5), n + 1) / mp.rf(1 + al, n + 1)
+            pref = 2 * c * (1 + al) * (2 + al) / (2 + al + 2 * n)
+            return pref * ratio / c * mp.jacobi(n, al + 0.5, 0.5, y)
+        s = mp.acosh(xs)   # (r/c)^(2k) - (c/r)^(2k) = 2 sinh(k s)
+        if name == "chebyshev_t":
+            return mp.pi * s if n == 0 else mp.pi * mp.sinh(n * s) / (2 * n)
+        if name == "chebyshev_u":
+            return mp.pi * c * c * mp.sinh((n + 1) * s) / (2 * (n + 1))
+        return 2 * mp.pi * c * mp.sinh((n + 0.5) * s) / (1 + 2 * n)
+
+
+_MP_FAMILIES = {
+    "gegenbauer": gegenbauer, "legendre": lambda alpha: legendre(),
+    "jacobi_minus": lambda alpha: jacobi_half(alpha, -1),
+    "jacobi_plus": lambda alpha: jacobi_half(alpha, 1),
+    "chebyshev_t": lambda alpha: chebyshev_t(), "chebyshev_u": lambda alpha: chebyshev_u(),
+    "chebyshev_v": lambda alpha: chebyshev_v(), "chebyshev_w": lambda alpha: chebyshev_w(),
+}
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(name=st.sampled_from(sorted(_MP_FAMILIES)),
+       b=st.floats(0.05, 0.95),
+       alpha=st.floats(-0.9, 4.0, exclude_min=True),
+       n=st.integers(0, 200))
+def test_closed_norm_against_mpmath(name, b, alpha, n):
+    """Every closed norm is accurate or refused: never inf, nan or an
+    OverflowError, and refused only where the value is near the double range."""
+    want = _mp_norm(name, alpha, b, n)
+    try:
+        got = closed_norm(_MP_FAMILIES[name](alpha), make_params(1.0, b), n)
+    except ValueError:
+        assert want > 1e280
+        return
+    assert math.isfinite(got)
+    assert abs(got - want) <= 1e-10 * want
+
+
+def test_log_monic_norm_past_the_monic_factor_range():
+    """The monic factor 500^200 overflows alone; in logs the Gegenbauer route
+    meets the hypergeometric one, and monic_norm refuses the linear value."""
+    p = make_params(1000.0, 1.0)
+    got = log_monic_norm(0.0, p, 200)
+    assert got == pytest.approx(log_monic_norm(0.0, p, 200, "hypergeometric"), rel=1e-14)
+    assert got == pytest.approx(2485.8698291026794, rel=1e-14)
+    with pytest.raises(ValueError, match="overflows the double range"):
+        monic_norm(0.0, p, 200)

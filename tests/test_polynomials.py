@@ -201,3 +201,7 @@ def test_recurrence_coefficients_reconstruct_multiplication(p21, complex_grid):
             a_next, b_n = recurrence_coeffs(alpha, p21, n)
             resid = complex_grid * P[n] - a_next * P[n + 1] - b_n * P[n - 1]
             assert np.max(np.abs(resid)) < 1e-11
+
+
+def test_legendre_is_gegenbauer_minus_half():
+    assert legendre() == gegenbauer(-0.5)

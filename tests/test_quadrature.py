@@ -23,6 +23,7 @@ from ellipoly import (
     make_params,
     moment,
     moment_table,
+    weight_density,
 )
 from ellipoly.quadrature import _exact_size, _gauss_jacobi
 
@@ -260,3 +261,15 @@ def test_exact_size_rejects_negative_degree():
     assert [_exact_size(d) for d in range(5)] == [1, 1, 2, 2, 3]
     with pytest.raises(ValueError, match="nonnegative"):
         _exact_size(-1)
+
+
+@pytest.mark.parametrize("normalized", [True, False])
+def test_flat_measure_is_the_alpha_zero_area_weight(p21, normalized):
+    """The flat weight is a parameter value: its rule and density are those
+    of the alpha = 0 area weight, bit for bit."""
+    flat, area = flat_measure(p21, normalized), area_measure(p21, 0.0, normalized)
+    assert flat == area
+    rf, ra = build_rule(flat, 12, 24), build_rule(area, 12, 24)
+    assert np.array_equal(rf.nodes, ra.nodes) and np.array_equal(rf.weights, ra.weights)
+    for z in (0.3 + 0.2j, -1.5 + 0.1j, 0.0):
+        assert weight_density(flat, z) == weight_density(area, z)

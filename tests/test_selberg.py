@@ -107,3 +107,11 @@ def test_degree_sized_ensemble_rule_is_exact(p, alpha):
     z2 = math.exp(selberg_product(alpha, p, 2))
     assert selberg_direct(alpha, p, 2) == pytest.approx(z2, rel=5e-14)
     assert heine_check(alpha, p, 2) <= 1e-13 * p.a ** 2
+
+
+def test_product_past_the_monic_factor_range():
+    """At a = 1000 the monic factor 500^j overflows from j = 115, but its log
+    does not: the product route meets the closed one."""
+    p = make_params(1000.0, 1.0)
+    assert selberg_product(0.0, p, 150) == pytest.approx(selberg_closed(0.0, p, 150), rel=1e-13)
+    assert selberg_closed(0.0, p, 150) == pytest.approx(139502.25598075963, rel=1e-14)
