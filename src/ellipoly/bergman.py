@@ -9,6 +9,7 @@ of the Gegenbauer family at x_star is the scalar obstruction behind this.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -68,10 +69,14 @@ class ChristoffelBasis:
 
 def orthonormal_values(alpha: float, p: EllipseParams, nmax: int, z) -> np.ndarray:
     """Matrix of orthonormal basis values p_k(z), k = 0..nmax; rows are degrees."""
+    return _orthonormal(alpha, p, _gegenbauer_norms(alpha, p, nmax), z)
+
+
+def _orthonormal(alpha: float, p: EllipseParams, h: np.ndarray, z) -> np.ndarray:
+    """orthonormal_values through degree h.size - 1, from the norm ladder h."""
     zz = np.asarray(z, dtype=complex)
-    C = gegenbauer_matrix(alpha, nmax, zz / p.c)
-    h = _gegenbauer_norms(alpha, p, nmax)
-    return C / np.sqrt(h).reshape((nmax + 1,) + (1,) * zz.ndim)
+    C = gegenbauer_matrix(alpha, h.size - 1, zz / p.c)
+    return C / np.sqrt(h).reshape(h.shape + (1,) * zz.ndim)
 
 
 def _orthonormal_derivatives(alpha: float, p: EllipseParams, nmax: int, z) -> np.ndarray:
@@ -101,10 +106,12 @@ def bergman_kernel(alpha: float, p: EllipseParams, N: int, z, w) -> complex:
 
 
 def _charge_values(basis: ChristoffelBasis, through: int):
-    """p_k(v) for k <= through and the kernel ladder kappa_i = sum_{j<i}|p_j(v)|^2."""
-    pv = orthonormal_values(basis.alpha, basis.params, through, basis.v)
+    """p_k(v) for k <= through, the kernel ladder kappa_i = sum_{j<i}|p_j(v)|^2
+    and the norm ladder h_0..h_through they were read from."""
+    h = _gegenbauer_norms(basis.alpha, basis.params, through)
+    pv = _orthonormal(basis.alpha, basis.params, h, basis.v)
     kappa = np.concatenate(([0.0], np.cumsum(np.abs(pv) ** 2)))
-    return pv, kappa
+    return pv, kappa, h
 
 
 def christoffel_values(basis: ChristoffelBasis, nmax: int, z) -> np.ndarray:
@@ -121,7 +128,7 @@ def christoffel_values(basis: ChristoffelBasis, nmax: int, z) -> np.ndarray:
     scalar = zz.ndim == 0
     zz = np.atleast_1d(zz)
 
-    pv, kv = _charge_values(basis, nmax + 1)
+    pv, kv, _ = _charge_values(basis, nmax + 1)
     Pz = orthonormal_values(alpha, p, nmax + 1, zz)
     # Kz[i] = kappa_{i+1}(z, vbar) = sum_{j<=i} p_j(z) conj(p_j(v))
     Kz = np.cumsum(Pz * pv.conj()[:, None], axis=0)
@@ -165,7 +172,7 @@ def christoffel_norm_monic(basis: ChristoffelBasis, N: int) -> float:
     """
     if N < 0:
         raise ValueError("degree must be nonnegative")
-    _, kv = _charge_values(basis, N + 1)
+    _, kv, _ = _charge_values(basis, N + 1)
     return monic_norm(basis.alpha, basis.params, N + 1) * kv[N + 2] / kv[N + 1]
 
 
@@ -246,6 +253,19 @@ def bandwidth(H: HessenbergMatrix, tol: float) -> int:
     return int(np.max(n + 1 - l, where=above, initial=0))
 
 
+@functools.lru_cache(maxsize=256)
+def _column_ladder(basis: ChristoffelBasis, n: int):
+    """Everything the closed entries of column n read, computed once per
+    (basis, n) and returned read-only: the charge values and kernel ladder
+    through degree n + 2 and the recurrence coefficients through index n,
+    both from one norm ladder (rows past l + 2 do not change rows before it)."""
+    pv, kv, h = _charge_values(basis, n + 2)
+    ladder = (pv, kv) + _recurrence_table(basis.alpha, basis.params, n, h)
+    for arr in ladder:
+        arr.flags.writeable = False
+    return ladder
+
+
 def christoffel_entry_closed(basis: ChristoffelBasis, l: int, n: int) -> complex:
     """Closed form of the Hessenberg entry c_{l,n} of the Christoffel basis on
     its non-banded range l <= n-2, built from charge values p_i(v), kernel
@@ -255,9 +275,8 @@ def christoffel_entry_closed(basis: ChristoffelBasis, l: int, n: int) -> complex
         raise ValueError("indices must be nonnegative")
     if l > n - 2:
         raise ValueError("closed entry is only defined for l <= n-2")
-    alpha, p, v = basis.alpha, basis.params, basis.v
-    pv, kv = _charge_values(basis, n + 2)
-    a, b = _recurrence_table(alpha, p, l + 2)
+    pv, kv, a, b = _column_ladder(basis, n)
+    v = basis.v
     a_l1, b_l, b_l1, b_l2 = a[l], b[l], b[l + 1], b[l + 2]   # b_0 = 0
     pi = pv                    # pi_k = p_k(v)
     pim1 = pi[l - 1] if l >= 1 else 0j

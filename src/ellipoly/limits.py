@@ -12,7 +12,10 @@ to beat the tolerance, with an explicit noise floor so that entries that are
 exactly zero by parity or orthogonality do not flip the monotonicity check.
 
 Each entry integrates a polynomial of degree n + m, so every rule here is
-sized from that degree and exact to roundoff; extras record the sizes.
+sized from that degree and exact to roundoff; extras record the sizes.  The
+public functions report one entry; their private _*_reports twins report a
+list of entries from one rule per parameter value, sized for the largest
+n + m, which is how the verify battery runs them.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from enum import Enum
 import numpy as np
 
 from .geometry import EllipseParams, area_measure, make_params
-from .norms import monic_factor
+from .norms import _log_monic_factor
 from .polynomials import gegenbauer_matrix
 from .quadrature import _exact_size, _gauss_jacobi, build_rule
 
@@ -98,13 +101,23 @@ def _entry_size(n: int, m: int) -> int:
     return _exact_size(n + m)
 
 
-def _planar_entry(p: EllipseParams, alpha: float, n: int, m: int) -> complex:
-    """<C_n(z/c), C_m(z/c)>_alpha under dA_alpha on the ellipse p, by the
-    k x 2k area rule that is exact for degree n + m."""
-    k = _entry_size(n, m)
+def _shared_size(entries) -> int:
+    """The rule size exact for every one of the (n, m) entries."""
+    return max(_entry_size(n, m) for n, m in entries)
+
+
+def _planar_entries(p: EllipseParams, alpha: float, entries, k: int) -> np.ndarray:
+    """<C_n(z/c), C_m(z/c)>_alpha for each (n, m) listed, under dA_alpha on the
+    ellipse p, by one k x 2k area rule: exact for every n + m < 2k."""
     rule = build_rule(area_measure(p, alpha), n_radial=k, n_angular=2 * k)
-    C = gegenbauer_matrix(alpha, max(n, m), rule.nodes / p.c)
-    return np.sum(rule.weights * C[n] * np.conj(C[m]))
+    n, m = np.array(entries).T
+    C = gegenbauer_matrix(alpha, max(n.max(), m.max()), rule.nodes / p.c)
+    return np.sum(rule.weights * C[n] * np.conj(C[m]), axis=1)
+
+
+def _planar_entry(p: EllipseParams, alpha: float, n: int, m: int) -> complex:
+    """One entry, on the k x 2k area rule that is exact for degree n + m."""
+    return _planar_entries(p, alpha, [(n, m)], _entry_size(n, m))[0]
 
 
 def _log_ratio_product(u: float, v: float, n: int) -> float:
@@ -113,15 +126,25 @@ def _log_ratio_product(u: float, v: float, n: int) -> float:
     return math.fsum([math.log(u + j) for j in range(n)] + [-math.log(v + j) for j in range(n)])
 
 
-def _times_exp(value, log_scale: float):
+def _times_exp(value, log_scale: float, what: str):
     """value * exp(log_scale) as one exponential, so that a scale outside the
-    double range does not overflow when the product lies inside it."""
+    double range does not overflow when the product lies inside it; raises
+    ValueError naming `what` when the product leaves the range."""
     if value == 0:
         return value
     log_mag = log_scale + math.log(abs(value))
     if not log_mag < math.log(sys.float_info.max):   # also catches nan
-        raise ValueError(f"hermite_limit value exp({log_mag}) is not finite in double precision")
+        raise ValueError(f"{what} exp({log_mag}) is not finite in double precision")
     return value / abs(value) * math.exp(log_mag)
+
+
+def _monotone(sequence, direction: int, message: str) -> tuple[float, ...]:
+    """The sequence as floats; raises ValueError(message) unless it has at
+    least two entries and each step has the sign of direction (+1 or -1)."""
+    values = tuple(float(t) for t in sequence)
+    if len(values) < 2 or any(direction * (t2 - t1) <= 0 for t1, t2 in zip(values, values[1:])):
+        raise ValueError(message)
+    return values
 
 
 def hermite_limit(p: EllipseParams, n: int, m: int, alpha_sequence) -> LimitReport:
@@ -137,34 +160,57 @@ def hermite_limit(p: EllipseParams, n: int, m: int, alpha_sequence) -> LimitRepo
     alpha = 1e6 for n, m <= 3 on p(2,1)).  The noise floor exempts those
     entries from the monotone-decrease requirement.
     """
-    k = _entry_size(n, m)
-    alphas = tuple(float(t) for t in alpha_sequence)
-    if len(alphas) < 2 or any(t2 <= t1 for t1, t2 in zip(alphas, alphas[1:])):
-        raise ValueError("alpha_sequence must be strictly increasing")
-    log_n = math.log(math.pi * p.a * p.b) + math.lgamma(n + 1)   # log(pi a b n!)
-    target = _times_exp(1.0, log_n + n * math.log(2.0 * p.x_star)) if n == m else 0.0
-    values = [complex(_times_exp(_planar_entry(p, alpha, n, m), log_n + math.lgamma(m + 1)
-                                 - 0.5 * (n + m) * math.log1p(alpha))) for alpha in alphas]
-    residuals = tuple(_entry_residual(v, target, n == m) for v in values)
-    return LimitReport(regime=LimitRegime.HERMITE_PLANE, n=n, m=m,
-                       parameters=alphas, values=tuple(values), target=target,
-                       residuals=residuals, **_HERMITE_BOUNDS,
-                       extras={"residual_kind": "relative diag / absolute offdiag",
-                               "rule_nodes": [k, 2 * k],
-                               "rate": "O(1/alpha)"})
+    return _hermite_reports(p, [(n, m)], alpha_sequence)[0]
+
+
+def _hermite_reports(p: EllipseParams, entries, alpha_sequence) -> list[LimitReport]:
+    """hermite_limit for every (n, m) entry listed, from one rule per alpha
+    sized for the largest n + m."""
+    k = _shared_size(entries)
+    alphas = _monotone(alpha_sequence, +1, "alpha_sequence must be strictly increasing")
+    # log(pi a b n!) of each entry
+    log_ns = [math.log(math.pi * p.a * p.b) + math.lgamma(n + 1) for n, _ in entries]
+    # Targets first: one out of the double range raises before any rule is built.
+    targets = [_times_exp(1.0, log_n + n * math.log(2.0 * p.x_star), "hermite_limit target")
+               if n == m else 0.0 for (n, m), log_n in zip(entries, log_ns)]
+    planar = [_planar_entries(p, alpha, entries, k) for alpha in alphas]
+    reports = []
+    for i, ((n, m), log_n, target) in enumerate(zip(entries, log_ns, targets)):
+        values = tuple(complex(_times_exp(row[i], log_n + math.lgamma(m + 1)
+                                          - 0.5 * (n + m) * math.log1p(alpha),
+                                          "hermite_limit value"))
+                       for alpha, row in zip(alphas, planar))
+        residuals = tuple(_entry_residual(v, target, n == m) for v in values)
+        reports.append(LimitReport(regime=LimitRegime.HERMITE_PLANE, n=n, m=m,
+                                   parameters=alphas, values=values, target=target,
+                                   residuals=residuals, **_HERMITE_BOUNDS,
+                                   extras={"residual_kind": "relative diag / absolute offdiag",
+                                           "rule_nodes": [k, 2 * k],
+                                           "rate": "O(1/alpha)"}))
+    return reports
+
+
+def _disc_moments(a: float, alpha: float, entries, k: int) -> list[complex]:
+    """<z^n, z^m> for each (n, m) listed, on the disc |z| < a under
+    (1+alpha)(1-|z/a|^2)^alpha dA: polar quadrature on the unit disc (k-node
+    Gauss-Jacobi radially, 2k-point trapezoid in angle, exact for every
+    n + m < 2k), each scaled by a^{n+m} in logs."""
+    t, u = _gauss_jacobi(k, alpha, 0.0)
+    theta = np.pi * np.arange(2 * k) / k
+    z = np.outer(np.sqrt(t), np.exp(1j * theta))
+    return [complex(_times_exp(np.sum((u / (2 * k))[:, None] * z ** n * np.conj(z) ** m),
+                               (n + m) * math.log(a), "disc_reference value"))
+            for n, m in entries]
 
 
 def disc_reference(a: float, alpha: float, n: int, m: int) -> complex:
     """<z^n, z^m> on the disc |z| < a under (1+alpha)(1-|z/a|^2)^alpha dA,
     by polar-coordinate quadrature (k-node Gauss-Jacobi radially, 2k-point
-    trapezoid in angle, exact for degree n + m).  The closed diagonal is
-    n! a^{2n} / (2+alpha)_n.
+    trapezoid in angle, exact for degree n + m) on the unit disc, scaled by
+    a^{n+m} in logs.  The closed diagonal is n! a^{2n} / (2+alpha)_n.
+    Raises ValueError when the value leaves the double range.
     """
-    k = _entry_size(n, m)
-    t, u = _gauss_jacobi(k, alpha, 0.0)
-    theta = np.pi * np.arange(2 * k) / k
-    z = np.outer(a * np.sqrt(t), np.exp(1j * theta))
-    return complex(np.sum((u / (2 * k))[:, None] * z ** n * np.conj(z) ** m))
+    return _disc_moments(a, alpha, [(n, m)], _entry_size(n, m))[0]
 
 
 def disc_limit(a: float, n: int, m: int, alpha: float, b_sequence) -> LimitReport:
@@ -175,29 +221,42 @@ def disc_limit(a: float, n: int, m: int, alpha: float, b_sequence) -> LimitRepor
 
     Residuals are absolute: the diagonal converges at rate ~ n (1 - b/a),
     which the prefactor-free absolute error tracks cleanly while every
-    off-diagonal entry is an exact zero on both sides.
+    off-diagonal entry is an exact zero on both sides.  The monic factors,
+    the radius scale and the closed diagonal are taken in logs; a value
+    outside the double range raises ValueError.
     """
-    k = _entry_size(n, m)
-    bs = tuple(float(t) for t in b_sequence)
-    if len(bs) < 2 or any(t2 <= t1 for t1, t2 in zip(bs, bs[1:])):
-        raise ValueError("b_sequence must be strictly increasing toward a")
+    return _disc_reports(a, [(n, m)], alpha, b_sequence)[0]
+
+
+def _disc_reports(a: float, entries, alpha: float, b_sequence) -> list[LimitReport]:
+    """disc_limit for every (n, m) entry listed, from one rule per b and one
+    disc rule, sized for the largest n + m."""
+    k = _shared_size(entries)
+    bs = _monotone(b_sequence, +1, "b_sequence must be strictly increasing toward a")
     if bs[-1] >= a:
         raise ValueError("b_sequence must stay below a")
-    target = disc_reference(a, alpha, n, m)
-
+    # Closed diagonals first: one out of the double range raises before any
+    # rule is built.
+    closed = [_times_exp(1.0, _log_ratio_product(1.0, 2.0 + alpha, n) + 2 * n * math.log(a),
+                         "disc_limit closed diagonal") if n == m else 0.0 for n, m in entries]
     ps = [make_params(a, b) for b in bs]
-    values = [complex(monic_factor(alpha, p, n) * monic_factor(alpha, p, m)
-                      * _planar_entry(p, alpha, n, m)) for p in ps]
-    residuals = tuple(abs(v - target) for v in values)
-    closed_diag = math.exp(_log_ratio_product(1.0, 2.0 + alpha, n)
-                           + 2 * n * math.log(a)) if n == m else 0.0
-    return LimitReport(regime=LimitRegime.DISC_TRUNCATED_UNITARY, n=n, m=m,
-                       parameters=bs, values=tuple(values), target=target,
-                       residuals=residuals, **_DISC_BOUNDS,
-                       extras={"residual_kind": "absolute",
-                               "rule_nodes": [k, 2 * k],
-                               "closed_diagonal": closed_diag,
-                               "rate": "O(n (1 - b/a)) relative on the diagonal"})
+    planar = [_planar_entries(p, alpha, entries, k) for p in ps]
+    targets = _disc_moments(a, alpha, entries, k)
+    reports = []
+    for i, ((n, m), closed_diag, target) in enumerate(zip(entries, closed, targets)):
+        values = tuple(complex(_times_exp(row[i], _log_monic_factor(alpha, p, n)
+                                          + _log_monic_factor(alpha, p, m),
+                                          "disc_limit value"))
+                       for p, row in zip(ps, planar))
+        residuals = tuple(abs(v - target) for v in values)
+        reports.append(LimitReport(regime=LimitRegime.DISC_TRUNCATED_UNITARY, n=n, m=m,
+                                   parameters=bs, values=values, target=target,
+                                   residuals=residuals, **_DISC_BOUNDS,
+                                   extras={"residual_kind": "absolute",
+                                           "rule_nodes": [k, 2 * k],
+                                           "closed_diagonal": closed_diag,
+                                           "rate": "O(n (1 - b/a)) relative on the diagonal"}))
+    return reports
 
 
 def realline_constant(alpha: float) -> float:
@@ -220,27 +279,33 @@ def realline_limit(a: float, n: int, m: int, alpha: float, b_sequence) -> LimitR
     relative on the diagonal (rate O(b^2) with an n-dependent constant),
     absolute off it.
     """
-    k = _entry_size(n, m)
-    bs = tuple(float(t) for t in b_sequence)
-    if len(bs) < 2 or any(t2 >= t1 for t1, t2 in zip(bs, bs[1:])):
-        raise ValueError("b_sequence must be strictly decreasing toward 0")
+    return _realline_reports(a, [(n, m)], alpha, b_sequence)[0]
+
+
+def _realline_reports(a: float, entries, alpha: float, b_sequence) -> list[LimitReport]:
+    """realline_limit for every (n, m) entry listed, from one rule per b and
+    one real-line rule, sized for the largest n + m."""
+    k = _shared_size(entries)
+    bs = _monotone(b_sequence, -1, "b_sequence must be strictly decreasing toward 0")
     if bs[0] >= a:
         raise ValueError("b_sequence must stay below a")
-
     t1, w1 = _gauss_jacobi(k, alpha + 0.5, alpha + 0.5)
-    C1 = gegenbauer_matrix(alpha, max(n, m), 2.0 * t1 - 1.0).real
-    # The real-line family is exactly orthogonal: off the diagonal the limit is 0.
-    target = float(np.sum(w1 * C1[n] * C1[m])) if n == m else 0.0
-
-    values = [complex(_planar_entry(make_params(a, b), alpha, n, m)) for b in bs]
-    residuals = tuple(_entry_residual(v, target, n == m) for v in values)
-    closed_diag = (1.0 + alpha) / (1.0 + alpha + n) * math.exp(
-        _log_ratio_product(2.0 + 2.0 * alpha, 1.0, n)) if n == m else 0.0
-    return LimitReport(regime=LimitRegime.REAL_LINE, n=n, m=m,
-                       parameters=bs, values=tuple(values), target=target,
-                       residuals=residuals, **_REALLINE_BOUNDS,
-                       extras={"residual_kind": "relative diag / absolute offdiag",
-                               "rule_nodes": [k, 2 * k],
-                               "oracle_nodes": k,
-                               "closed_diagonal": closed_diag,
-                               "rate": "O(b^2) with constant growing in n"})
+    C1 = gegenbauer_matrix(alpha, max(max(entry) for entry in entries), 2.0 * t1 - 1.0).real
+    planar = [_planar_entries(make_params(a, b), alpha, entries, k) for b in bs]
+    reports = []
+    for i, (n, m) in enumerate(entries):
+        # The real-line family is exactly orthogonal: off the diagonal the limit is 0.
+        target = float(np.sum(w1 * C1[n] * C1[m])) if n == m else 0.0
+        values = tuple(complex(row[i]) for row in planar)
+        residuals = tuple(_entry_residual(v, target, n == m) for v in values)
+        closed_diag = (1.0 + alpha) / (1.0 + alpha + n) * math.exp(
+            _log_ratio_product(2.0 + 2.0 * alpha, 1.0, n)) if n == m else 0.0
+        reports.append(LimitReport(regime=LimitRegime.REAL_LINE, n=n, m=m,
+                                   parameters=bs, values=values, target=target,
+                                   residuals=residuals, **_REALLINE_BOUNDS,
+                                   extras={"residual_kind": "relative diag / absolute offdiag",
+                                           "rule_nodes": [k, 2 * k],
+                                           "oracle_nodes": k,
+                                           "closed_diagonal": closed_diag,
+                                           "rate": "O(b^2) with constant growing in n"}))
+    return reports

@@ -247,14 +247,25 @@ def _log_monic_factor(alpha: float, p: EllipseParams, n: int) -> float:
     return math.lgamma(n + 1) + n * math.log(p.c / 2.0) - lnpoch(1.0 + alpha, n)
 
 
+def _exp_in_range(log_value: float, name: str) -> float:
+    """exp(log_value); raises ValueError naming the value when it overflows
+    the double range."""
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        raise ValueError(f"{name} = exp({log_value!r}) overflows the double range") from None
+
+
 def monic_factor(alpha: float, p: EllipseParams, n: int) -> float:
     """Factor turning C_n^{(1+alpha)}(z/c) into the monic polynomial in z:
 
         ptilde_n(z) = n! c^n / (2^n (1+alpha)_n) * C_n^{(1+alpha)}(z/c).
+
+    Raises ValueError when the factor is beyond the double range.
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    return math.exp(_log_monic_factor(alpha, p, n))
+    return _exp_in_range(_log_monic_factor(alpha, p, n), f"monic factor of degree {n}")
 
 
 def log_monic_norm(alpha: float, p: EllipseParams, n: int,
@@ -292,8 +303,4 @@ def monic_norm(alpha: float, p: EllipseParams, n: int,
                method: str = "gegenbauer") -> float:
     """Squared norm htilde_n of the monic polynomial under dA_alpha; raises
     ValueError when htilde_n is beyond the double range."""
-    log_h = log_monic_norm(alpha, p, n, method=method)
-    try:
-        return math.exp(log_h)
-    except OverflowError:
-        raise ValueError(f"htilde_{n} = exp({log_h!r}) overflows the double range") from None
+    return _exp_in_range(log_monic_norm(alpha, p, n, method=method), f"htilde_{n}")

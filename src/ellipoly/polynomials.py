@@ -277,9 +277,11 @@ def gegenbauer_norm(alpha: float, p: EllipseParams, n: int) -> float:
     return h
 
 
-def _recurrence_table(alpha: float, p: EllipseParams, nmax: int) -> tuple[np.ndarray, np.ndarray]:
-    """a[n] = a_{n+1} and b[n] = b_n (b[0] = 0.0) for n <= nmax, from one norm ladder."""
-    h = _gegenbauer_norms(alpha, p, nmax + 1)
+def _recurrence_table(alpha: float, p: EllipseParams, nmax: int,
+                      h: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """a[n] = a_{n+1} and b[n] = b_n (b[0] = 0.0) for n <= nmax, from one norm
+    ladder: h, when the caller has one through degree nmax + 1 or beyond."""
+    h = _gegenbauer_norms(alpha, p, nmax + 1) if h is None else h[: nmax + 2]
     n = np.arange(nmax + 1)
     a = p.c * (n + 1) / (2.0 * (n + alpha + 1)) * np.sqrt(h[1:] / h[:-1])
     b = np.zeros(nmax + 1)

@@ -22,8 +22,8 @@ from .bergman import (
     hessenberg,
     turan_determinant,
 )
-from .geometry import derived_params, make_params
-from .limits import disc_limit, hermite_limit, realline_limit
+from .geometry import MeasureKind, derived_params, make_params
+from .limits import _disc_reports, _hermite_reports, _realline_reports
 from .norms import canonical_measure, closed_norm, gram_matrix
 from .polynomials import (
     chebyshev_t,
@@ -34,7 +34,7 @@ from .polynomials import (
     jacobi_half,
     legendre,
 )
-from .quadrature import build_rule, contour_check, moment_table
+from .quadrature import _exact_size, build_rule, contour_check, moment_table
 from .selberg import selberg_compare, selberg_direct
 
 __all__ = ["CheckResult", "run_all", "CHECKS"]
@@ -50,23 +50,52 @@ class CheckResult:
     metrics: dict = field(default_factory=dict)
 
 
-def _worst_gram(families, params, nmax: int) -> tuple[float, float]:
+def _rule_nodes(k: int) -> list[int]:
+    """The [radial, angular] counts of the k x 2k rule, as metrics record them."""
+    return [k, 2 * k]
+
+
+def _gram_size(measure, nmax: int) -> int:
+    """k of the k x 2k rule for the Gram matrix of degrees <= nmax under the
+    measure.  Entries have degree 2 nmax in z on the area rules, twice that in
+    the base variable of the mapped B-/V/W rules, and 2 more under the B+
+    density |z|^2.  The Chebyshev-T rule's 2k angles resolve the harmonics of
+    order 2 nmax exactly; its radial factor integrates s^j ds/s, not exact for
+    j < 0 but converged beyond roundoff at the same size on p(2,1) (doubling
+    it moves no diagonal by more than 1e-14)."""
+    kind = measure.kind
+    if kind in (MeasureKind.AREA_ALPHA, MeasureKind.CHEBYSHEV_T):
+        return _exact_size(2 * nmax)
+    return _exact_size(4 * nmax + 2 * (kind == MeasureKind.B_PLUS))
+
+
+def _sized_gram(family, params, nmax: int):
+    """gram_matrix of the family under its canonical weight on its sized rule."""
+    measure = canonical_measure(family, params)
+    k = _gram_size(measure, nmax)
+    return gram_matrix(family, measure, nmax, n_radial=k, n_angular=2 * k)
+
+
+def _worst_gram(families, params, nmax: int) -> tuple[float, float, dict]:
     """Worst off-diagonal/max-diagonal ratio and worst diagonal relative
-    error over the families' Gram matrices under their canonical weights."""
+    error over the families' Gram matrices under their canonical weights,
+    and the rule size used under each measure kind."""
     worst_off = 0.0
     worst_diag = 0.0
+    sizes = {}
     for fam in families:
-        res = gram_matrix(fam, canonical_measure(fam, params), nmax)
+        res = _sized_gram(fam, params, nmax)
         worst_off = max(worst_off, res.max_offdiag / res.diag.max())
         worst_diag = max(worst_diag, res.max_diag_error)
-    return worst_off, worst_diag
+        sizes[res.measure.kind.value] = [res.n_radial, res.n_angular]
+    return worst_off, worst_diag, sizes
 
 
 def check_gegenbauer_gram() -> CheckResult:
     """Gegenbauer orthogonality on p(2,1): off-diagonals below 1e-10 of the
     largest diagonal and diagonals within 1e-10 of the closed norms, for
     degrees <= 16 and alpha in {-0.9, -0.5, 0, 1, 2.5}."""
-    worst_off, worst_diag = _worst_gram(
+    worst_off, worst_diag, sizes = _worst_gram(
         [gegenbauer(alpha) for alpha in (-0.9, -0.5, 0.0, 1.0, 2.5)], P21, 16)
     passed = worst_off <= 1e-10 and worst_diag <= 1e-10
     return CheckResult(
@@ -75,15 +104,15 @@ def check_gegenbauer_gram() -> CheckResult:
         detail=(f"off-diagonal/max-diagonal {worst_off:.3e} (tol 1e-10), "
                 f"diagonal relative error {worst_diag:.3e} (tol 1e-10)"),
         metrics={"worst_offdiag_ratio": worst_off, "worst_diag_rel": worst_diag,
-                 "alphas": [-0.9, -0.5, 0.0, 1.0, 2.5], "nmax": 16})
+                 "alphas": [-0.9, -0.5, 0.0, 1.0, 2.5], "nmax": 16,
+                 "rule_nodes": sizes})
 
 
 def check_legendre_diagonal() -> CheckResult:
     """Legendre diagonal on p(2,1) against P_n(5/3)/(1+2n) to 1e-10 for
     n <= 12, with the reference Legendre values taken from scipy."""
     from scipy.special import eval_legendre   # the oracle, kept off the import path
-    fam = legendre()
-    res = gram_matrix(fam, canonical_measure(fam, P21), 12)
+    res = _sized_gram(legendre(), P21, 12)
     ref = np.array([eval_legendre(n, P21.x_star) / (1.0 + 2 * n) for n in range(13)])
     rel = float(np.max(np.abs(res.diag - ref) / np.abs(ref)))
     off = res.max_offdiag / res.diag.max()
@@ -92,7 +121,8 @@ def check_legendre_diagonal() -> CheckResult:
         name="legendre_diagonal",
         passed=passed,
         detail=f"diagonal vs P_n(5/3)/(1+2n): rel {rel:.3e} (tol 1e-10), offdiag ratio {off:.3e}",
-        metrics={"worst_diag_rel": rel, "offdiag_ratio": off, "nmax": 12})
+        metrics={"worst_diag_rel": rel, "offdiag_ratio": off, "nmax": 12,
+                 "rule_nodes": {res.measure.kind.value: [res.n_radial, res.n_angular]}})
 
 
 def check_jacobi_derived_ellipse() -> CheckResult:
@@ -101,7 +131,7 @@ def check_jacobi_derived_ellipse() -> CheckResult:
     diagonal, n <= 10, alpha in {0, 1.5}, both half-integer second
     parameters."""
     dp = derived_params(P21)
-    worst_off, worst_diag = _worst_gram(
+    worst_off, worst_diag, sizes = _worst_gram(
         [jacobi_half(alpha, sign) for alpha in (0.0, 1.5) for sign in (-1, +1)],
         dp, 10)
     passed = worst_off <= 1e-9 and worst_diag <= 1e-9
@@ -111,7 +141,8 @@ def check_jacobi_derived_ellipse() -> CheckResult:
         detail=(f"off-diagonal/max-diagonal {worst_off:.3e}, diagonal rel "
                 f"{worst_diag:.3e} (tol 1e-9 each)"),
         metrics={"worst_offdiag_ratio": worst_off, "worst_diag_rel": worst_diag,
-                 "derived_a": dp.a, "derived_b": dp.b, "nmax": 10})
+                 "derived_a": dp.a, "derived_b": dp.b, "nmax": 10,
+                 "rule_nodes": sizes})
 
 
 def check_chebyshev_families() -> CheckResult:
@@ -119,7 +150,7 @@ def check_chebyshev_families() -> CheckResult:
     (mapped-coordinate quadrature): diagonals within 1e-8 of the closed
     norms for n <= 12, including the n=0 anchors pi*ln(3) for the first
     kind and 2*pi for the second kind (flat convention)."""
-    worst_off, worst_diag = _worst_gram(
+    worst_off, worst_diag, sizes = _worst_gram(
         [chebyshev_t(), chebyshev_u(), chebyshev_v(), chebyshev_w()], P21, 12)
     t0 = closed_norm(chebyshev_t(), P21, 0)
     u0 = closed_norm(chebyshev_u(), P21, 0)
@@ -131,7 +162,7 @@ def check_chebyshev_families() -> CheckResult:
         detail=(f"diagonal rel {worst_diag:.3e}, offdiag ratio {worst_off:.3e} "
                 f"(tol 1e-8); n=0 anchors pi*ln3 / 2*pi off by {anchors:.3e}"),
         metrics={"worst_diag_rel": worst_diag, "worst_offdiag_ratio": worst_off,
-                 "t0": t0, "u0": u0, "nmax": 12})
+                 "t0": t0, "u0": u0, "nmax": 12, "rule_nodes": sizes})
 
 
 def check_contour_identity() -> CheckResult:
@@ -175,9 +206,11 @@ def check_moment_relations() -> CheckResult:
     the coefficient ratio kappa^n_j(alpha)/kappa^n_j(0) =
     Gamma(a+1+(n+j)/2)/(Gamma(a+1)Gamma(1+(n+j)/2)) to 1e-11 for n <= 12."""
     pmax = 20
+    k = _exact_size(2 * pmax)
 
     def table(alpha: float) -> list[list[complex]]:
-        rule = build_rule(canonical_measure(gegenbauer(alpha), P21))
+        rule = build_rule(canonical_measure(gegenbauer(alpha), P21),
+                          n_radial=k, n_angular=2 * k)
         return moment_table(pmax, rule).tolist()
 
     m0 = table(0.0)
@@ -218,7 +251,8 @@ def check_moment_relations() -> CheckResult:
                 f"{worst_parity:.3e} (tol 1e-13), coefficient ratio rel "
                 f"{worst_coeff:.3e} (tol 1e-11)"),
         metrics={"worst_scaling_rel": worst_scaling, "worst_parity_abs": worst_parity,
-                 "worst_coeff_rel": worst_coeff})
+                 "worst_coeff_rel": worst_coeff,
+                 "rule_nodes": {MeasureKind.AREA_ALPHA.value: _rule_nodes(k)}})
 
 
 def check_multiplication_matrix() -> CheckResult:
@@ -235,11 +269,20 @@ def check_multiplication_matrix() -> CheckResult:
     below-band entry of column 4 carries that value as a factor.  Moving the
     charge to v = 1.6 restores the clause, which is recorded in the metrics.
     """
-    plain = hessenberg(GegenbauerBasis(0.0, P21), 12, strategy="quadrature")
+    # Entries <z p_n, p_l> have degree 2 nmax in z, and the charge |v - z|^2
+    # adds 2: each rule is the k x 2k one exact for that degree.
+    k_plain = _exact_size(2 * 12)
+    plain = hessenberg(GegenbauerBasis(0.0, P21), 12, strategy="quadrature",
+                       n_radial=k_plain, n_angular=2 * k_plain)
     d_plain = bandwidth(plain, 1e-10)
 
+    k_charged = _exact_size(2 * 9 + 2)
+
+    def charged(basis):
+        return hessenberg(basis, 9, n_radial=k_charged, n_angular=2 * k_charged)
+
     basis = ChristoffelBasis(0.0, P21, 1.5 + 0j)
-    H = hessenberg(basis, 9)
+    H = charged(basis)
     col_max = {}
     for n in range(4, 9):
         col_max[n] = float(np.max(np.abs(H.entries[: n - 1, n])))
@@ -256,14 +299,14 @@ def check_multiplication_matrix() -> CheckResult:
     for b in (0.5, 0.1, 0.02):
         pb = make_params(2.0, b)
         bb = ChristoffelBasis(0.0, pb, 1.5 + 0j)
-        Hb = hessenberg(bb, 9)
+        Hb = charged(bb)
         mass = max(float(np.max(np.abs(Hb.entries[: n - 1, n])))
                    for n in range(2, 9))
         decay.append(mass)
     decay_ok = all(m2 < m1 for m1, m2 in zip(decay, decay[1:]))
 
     basis16 = ChristoffelBasis(0.0, P21, 1.6 + 0j)
-    H16 = hessenberg(basis16, 9)
+    H16 = charged(basis16)
     alt_n4 = float(np.max(np.abs(H16.entries[:3, 4])))
 
     d_chris = bandwidth(H, 1e-8)
@@ -292,7 +335,9 @@ def check_multiplication_matrix() -> CheckResult:
                  "below_band_max": {str(n): col_max[n] for n in range(4, 9)},
                  "closed_vs_quadrature": worst_closed,
                  "decay_b_sweep": decay,
-                 "v16_column4_max": alt_n4})
+                 "v16_column4_max": alt_n4,
+                 "rule_nodes": {"plain": _rule_nodes(k_plain),
+                                "christoffel": _rule_nodes(k_charged)}})
 
 
 def check_turan_determinant() -> CheckResult:
@@ -363,31 +408,21 @@ def check_limit_regimes() -> CheckResult:
     products approach the real-line orthogonality as b -> 0 (a=2, alpha=0,
     final <= 1e-2 at b = 0.03 against the 1-D Gauss-Jacobi oracle,
     n, m <= 4)."""
-    hermite_bad = []
-    worst_hermite = 0.0
-    for n in range(4):
-        for m in range(4):
-            rep = hermite_limit(P21, n, m, (10.0, 100.0, 1000.0))
-            worst_hermite = max(worst_hermite, rep.residuals[-1])
-            if not rep.verdict:
-                hermite_bad.append((n, m))
-    disc_bad = []
-    worst_disc = 0.0
-    for alpha in (0.0, 2.0):
-        for n in range(4):
-            for m in range(4):
-                rep = disc_limit(1.0, n, m, alpha, (0.9, 0.99, 0.999))
-                worst_disc = max(worst_disc, rep.residuals[-1])
-                if not rep.verdict:
-                    disc_bad.append((alpha, n, m))
-    real_bad = []
-    worst_real = 0.0
-    for n in range(5):
-        for m in range(5):
-            rep = realline_limit(2.0, n, m, 0.0, (0.3, 0.1, 0.03))
-            worst_real = max(worst_real, rep.residuals[-1])
-            if not rep.verdict:
-                real_bad.append((n, m))
+    # Each regime shares one rule per parameter value across its entries,
+    # sized for the largest n + m.
+    entries4 = [(n, m) for n in range(4) for m in range(4)]
+    hermite = _hermite_reports(P21, entries4, (10.0, 100.0, 1000.0))
+    disc = {alpha: _disc_reports(1.0, entries4, alpha, (0.9, 0.99, 0.999))
+            for alpha in (0.0, 2.0)}
+    real = _realline_reports(2.0, [(n, m) for n in range(5) for m in range(5)],
+                             0.0, (0.3, 0.1, 0.03))
+    hermite_bad = [(rep.n, rep.m) for rep in hermite if not rep.verdict]
+    disc_bad = [(alpha, rep.n, rep.m) for alpha, reps in disc.items()
+                for rep in reps if not rep.verdict]
+    real_bad = [(rep.n, rep.m) for rep in real if not rep.verdict]
+    worst_hermite = max(rep.residuals[-1] for rep in hermite)
+    worst_disc = max(rep.residuals[-1] for reps in disc.values() for rep in reps)
+    worst_real = max(rep.residuals[-1] for rep in real)
     passed = not (hermite_bad or disc_bad or real_bad)
     return CheckResult(
         name="limit_regimes",
@@ -400,7 +435,10 @@ def check_limit_regimes() -> CheckResult:
         metrics={"hermite_final_max": worst_hermite,
                  "disc_final_max": worst_disc,
                  "realline_final_max": worst_real,
-                 "realline_a": 2.0})
+                 "realline_a": 2.0,
+                 "rule_nodes": {"hermite": hermite[0].extras["rule_nodes"],
+                                "disc": disc[0.0][0].extras["rule_nodes"],
+                                "realline": real[0].extras["rule_nodes"]}})
 
 
 CHECKS = [

@@ -24,6 +24,8 @@ from ellipoly import (
     recurrence_coeffs,
     turan_determinant,
 )
+from ellipoly.bergman import _charge_values, _column_ladder
+from ellipoly.polynomials import _recurrence_table
 
 
 def test_kernel_truncation_one_is_constant(p21):
@@ -208,3 +210,29 @@ def test_closed_hessenberg_is_recurrence_coeffs(p21, alpha):
         if n >= 1:
             expect[n - 1, n] = b_n
     assert np.array_equal(H, expect)
+
+
+@pytest.mark.parametrize("alpha, b, v", [(0.0, 1.0, 1.5), (-0.64, 0.81, -0.06 - 0.17j),
+                                         (2.3, 0.17, 1.44 + 0.39j)])
+def test_closed_entry_ladder_is_cached_and_read_only(alpha, b, v):
+    """christoffel_entry_closed reads one ladder per (basis, column): the charge
+    values of _charge_values(basis, n + 2) and, row for row and bit for bit,
+    the recurrence table that each entry used to build to index l + 2, in
+    arrays nobody can write to."""
+    basis = ChristoffelBasis(alpha, make_params(2.0, b), v)
+    n = 14
+    ladder = _column_ladder(basis, n)
+    assert _column_ladder(basis, n) is ladder
+    pv, kv, a, bb = ladder
+    ref_pv, ref_kv, _ = _charge_values(basis, n + 2)
+    assert np.array_equal(pv, ref_pv) and np.array_equal(kv, ref_kv)
+    for l in range(n - 1):
+        ref_a, ref_b = _recurrence_table(alpha, basis.params, l + 2)
+        assert np.array_equal(a[: l + 3], ref_a) and np.array_equal(bb[: l + 3], ref_b)
+    for arr in ladder:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1.0
+    # the cache does not change a value: a fresh basis with equal fields agrees
+    for l in range(n - 1):
+        fresh = ChristoffelBasis(alpha, make_params(2.0, b), v)
+        assert christoffel_entry_closed(fresh, l, n) == christoffel_entry_closed(basis, l, n)

@@ -218,6 +218,18 @@ def test_degree_sized_commands_take_no_rule_flags(command):
     assert "--n-radial" not in p.stdout and "--n-angular" not in p.stdout
 
 
+def test_disc_limit_past_the_double_range_exits_one():
+    """At a = 1000 the degree-60 disc moment n! a^{2n}/(2+alpha)_n is 1e360/61:
+    the closed diagonal, taken in logs, refuses it without a traceback or a
+    numpy warning."""
+    p = run_cli("limits", "--regime", "disc", "--a", "1000", "--b", "1", "--n", "60",
+                "--m", "60", "--sequence", "990", "999")
+    assert p.returncode == 1
+    assert p.stdout == ""
+    assert "not finite" in p.stderr
+    assert "Traceback" not in p.stderr and "Warning" not in p.stderr
+
+
 def test_selberg_past_the_monic_factor_range_exits_one():
     """At a = 1000 the monic factors overflow alone, yet log Z_150 is finite;
     only Z_150 itself is out of range, so the command refuses it cleanly."""

@@ -215,3 +215,18 @@ def test_closed_diagonals_at_large_alpha(alpha):
             got = realline_limit(2.0, n, n, alpha, (0.3, 0.1)).extras["closed_diagonal"]
             want = (1 + al) / (1 + al + n) * mp.rf(2 + 2 * al, n) / mp.factorial(n)
             assert abs(got - want) <= 1e-14 * want, n
+
+
+def test_disc_limit_past_the_double_range_raises():
+    """The closed diagonal, the disc reference and the monic values are taken
+    in logs: out of the double range they raise ValueError, not OverflowError
+    and not nan, while degree 40 at the same radius stays finite."""
+    with pytest.raises(ValueError, match="closed diagonal .* not finite"):
+        disc_limit(1000.0, 60, 60, 0.0, (990.0, 999.0))
+    with pytest.raises(ValueError, match="not finite"):
+        disc_reference(1000.0, 0.0, 60, 60)
+    rep = disc_limit(1000.0, 40, 40, 0.0, (990.0, 999.0))
+    want = math.exp(math.lgamma(41) + 80 * math.log(1000.0) - math.lgamma(42))
+    assert rep.extras["closed_diagonal"] == pytest.approx(want, rel=1e-13)
+    assert rep.target.real == pytest.approx(want, rel=1e-12)
+    assert all(math.isfinite(abs(v)) for v in rep.values)

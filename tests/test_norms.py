@@ -34,6 +34,7 @@ from ellipoly import (
     legendre,
     log_monic_norm,
     make_params,
+    monic_factor,
     monic_norm,
     orthonormal_values,
 )
@@ -383,3 +384,6 @@ def test_log_monic_norm_past_the_monic_factor_range():
     assert got == pytest.approx(2485.8698291026794, rel=1e-14)
     with pytest.raises(ValueError, match="overflows the double range"):
         monic_norm(0.0, p, 200)
+    with pytest.raises(ValueError, match="monic factor of degree 200 .* overflows"):
+        monic_factor(0.0, p, 200)
+    assert math.isfinite(monic_factor(0.0, p, 114))
