@@ -52,8 +52,8 @@ def main():
     print(LINE)
 
     print("disc regime (b -> a), monic Gram vs disc moments, a = 2;")
-    print("absolute residual decays like n(1 - b/a), so higher degrees need b")
-    print("pushed closer to a:")
+    print("absolute residual on the unit-disc scale, |value - target| a^-(n+m),")
+    print("decays like n(1 - b/a), so higher degrees need b pushed closer to a:")
     for n, bs in ((1, [1.6, 1.9, 1.99, 1.999]),
                   (3, [1.9, 1.99, 1.999, 1.9999, 1.99995])):
         r = disc_limit(2.0, n, n, 0.5, bs)

@@ -11,24 +11,22 @@ sequence; the verdict requires the residuals to decrease and the final one
 to beat the tolerance, with an explicit noise floor so that entries that are
 exactly zero by parity or orthogonality do not flip the monotonicity check.
 
-Each entry integrates a polynomial of degree n + m, so every rule here is
-sized from that degree and exact to roundoff; extras record the sizes.  The
-public functions report one entry; their private _*_reports twins report a
-list of entries from one rule per parameter value, sized for the largest
-n + m, which is how the verify battery runs them.
+One engine runs all three: _REGIMES holds each regime's bounds, residual
+form and rate, and _reports integrates a list of (n, m) entries on one rule
+per parameter value, exact for the largest n + m, and builds the reports.
+Each regime states only its sequence, ellipses, targets, scale and extras.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
 from .geometry import EllipseParams, area_measure, make_params
-from .norms import _log_monic_factor
+from .norms import _log_monic_factor, _times_exp
 from .polynomials import gegenbauer_matrix
 from .quadrature import _exact_size, _gauss_jacobi, build_rule
 
@@ -49,21 +47,15 @@ class LimitRegime(Enum):
     REAL_LINE = "real_line"
 
 
-# Verdict bounds of each regime (see LimitReport.verdict)
-_HERMITE_BOUNDS = {"tolerance": 1e-2, "noise_floor": 1e-8}
-_DISC_BOUNDS = {"tolerance": 1e-3, "noise_floor": 1e-12}
-_REALLINE_BOUNDS = {"tolerance": 1e-2, "noise_floor": 1e-10}
-
-
 @dataclass(frozen=True)
 class LimitReport:
     """Convergence record for one (n, m) entry along a parameter sequence.
 
-    residuals[k] compares values[k] to target: relative on the diagonal
-    when the target is nonzero, absolute otherwise (disc_limit uses
-    absolute residuals throughout; see its docstring).  verdict is True
-    when the residual sequence decreases step to step (pairs below the
-    noise floor are exempt) and the final residual is within tolerance.
+    residuals[k] compares values[k] to target: relative on the diagonal when
+    the target is nonzero, absolute otherwise (disc_limit: absolute on the
+    unit-disc scale throughout).  verdict is True when the residual sequence
+    decreases step to step (pairs below the noise floor are exempt) and the
+    final residual is within tolerance.
     """
 
     regime: LimitRegime
@@ -86,24 +78,33 @@ class LimitReport:
         return res[-1] <= self.tolerance
 
 
-def _entry_residual(value: complex, target: complex, diagonal: bool) -> float:
-    """Relative residual on the diagonal (target is a closed nonzero limit),
-    absolute off it (the limiting value is an exact zero)."""
-    if diagonal:
-        return abs(value - target) / abs(target)
-    return abs(value - target)
+def _relative_on_diagonal(value, target, n: int, m: int, p: EllipseParams) -> float:
+    """Relative on the diagonal's closed nonzero limit, absolute off it (exact 0)."""
+    return abs(value - target) / (abs(target) if n == m else 1.0)
 
 
-def _entry_size(n: int, m: int) -> int:
-    """Rule size exact for the degree-(n+m) entry; rejects negative degrees."""
-    if n < 0 or m < 0:
+def _absolute_on_unit_disc(value, target, n: int, m: int, p: EllipseParams) -> float:
+    """|value - target| a^{-(n+m)}: the unit-disc residual (scale-free in z / a)."""
+    return math.exp(-(n + m) * math.log(p.a)) * abs(value - target)
+
+
+# Each regime's verdict bounds (tolerance, noise floor), residual form
+# residual(value, target, n, m, ellipse) and residual-kind and rate texts.
+_REGIMES = {
+    LimitRegime.HERMITE_PLANE: (1e-2, 1e-8, _relative_on_diagonal,
+                                "relative diag / absolute offdiag", "O(1/alpha)"),
+    LimitRegime.DISC_TRUNCATED_UNITARY: (1e-3, 1e-12, _absolute_on_unit_disc, "absolute",
+                                         "O(n (1 - b/a)) relative on the diagonal"),
+    LimitRegime.REAL_LINE: (1e-2, 1e-10, _relative_on_diagonal,
+                            "relative diag / absolute offdiag", "O(b^2) with constant growing in n"),
+}
+
+
+def _rule_size(entries) -> int:
+    """Size of the k x 2k rule exact for every (n, m) listed; rejects n, m < 0."""
+    if any(n < 0 or m < 0 for n, m in entries):
         raise ValueError("degrees must be nonnegative")
-    return _exact_size(n + m)
-
-
-def _shared_size(entries) -> int:
-    """The rule size exact for every one of the (n, m) entries."""
-    return max(_entry_size(n, m) for n, m in entries)
+    return _exact_size(max(n + m for n, m in entries))
 
 
 def _planar_entries(p: EllipseParams, alpha: float, entries, k: int) -> np.ndarray:
@@ -115,9 +116,34 @@ def _planar_entries(p: EllipseParams, alpha: float, entries, k: int) -> np.ndarr
     return np.sum(rule.weights * C[n] * np.conj(C[m]), axis=1)
 
 
-def _planar_entry(p: EllipseParams, alpha: float, n: int, m: int) -> complex:
-    """One entry, on the k x 2k area rule that is exact for degree n + m."""
-    return _planar_entries(p, alpha, [(n, m)], _entry_size(n, m))[0]
+def _reports(regime: LimitRegime, entries, parameters, planes, targets,
+             log_scale=None, extras=None) -> list[LimitReport]:
+    """One LimitReport per (n, m) entry listed, along parameters: one k x 2k
+    rule per (ellipse, alpha) of planes, sized for the largest n + m, gives
+    the planar entries, times exp(log_scale(j, n, m)) at parameter j when
+    given.  extras(k) and targets(k) list each entry's own fields and limit;
+    both run before any planar rule is built, so a closed value out of the
+    double range raises first."""
+    k = _rule_size(entries)
+    own = extras(k) if extras else [{}] * len(entries)
+    expected = targets(k)
+    with np.errstate(over="ignore", invalid="ignore"):
+        planar = [_planar_entries(p, alpha, entries, k) for p, alpha in planes]
+    if not all(np.isfinite(row).all() for row in planar):
+        raise ValueError(f"{regime.value} planar entries are not finite in double precision")
+    tolerance, noise_floor, residual, residual_kind, rate = _REGIMES[regime]
+    reports = []
+    for i, (n, m) in enumerate(entries):
+        values = tuple(complex(row[i] if log_scale is None else
+                               _times_exp(row[i], log_scale(j, n, m), f"{regime.value} value"))
+                       for j, row in enumerate(planar))
+        reports.append(LimitReport(
+            regime=regime, n=n, m=m, parameters=parameters, values=values, target=expected[i],
+            residuals=tuple(residual(v, expected[i], n, m, p) for v, (p, _) in zip(values, planes)),
+            tolerance=tolerance, noise_floor=noise_floor,
+            extras={"residual_kind": residual_kind, "rule_nodes": [k, 2 * k], **own[i],
+                    "rate": rate}))
+    return reports
 
 
 def _log_ratio_product(u: float, v: float, n: int) -> float:
@@ -126,23 +152,14 @@ def _log_ratio_product(u: float, v: float, n: int) -> float:
     return math.fsum([math.log(u + j) for j in range(n)] + [-math.log(v + j) for j in range(n)])
 
 
-def _times_exp(value, log_scale: float, what: str):
-    """value * exp(log_scale) as one exponential, so that a scale outside the
-    double range does not overflow when the product lies inside it; raises
-    ValueError naming `what` when the product leaves the range."""
-    if value == 0:
-        return value
-    log_mag = log_scale + math.log(abs(value))
-    if not log_mag < math.log(sys.float_info.max):   # also catches nan
-        raise ValueError(f"{what} exp({log_mag}) is not finite in double precision")
-    return value / abs(value) * math.exp(log_mag)
-
-
-def _monotone(sequence, direction: int, message: str) -> tuple[float, ...]:
+def _monotone(sequence, direction: int, message: str,
+              below: float = math.inf) -> tuple[float, ...]:
     """The sequence as floats; raises ValueError(message) unless it has at
-    least two entries and each step has the sign of direction (+1 or -1)."""
+    least two entries, each step has the sign of direction (+1 or -1) and
+    every entry lies below `below`."""
     values = tuple(float(t) for t in sequence)
-    if len(values) < 2 or any(direction * (t2 - t1) <= 0 for t1, t2 in zip(values, values[1:])):
+    if len(values) < 2 or max(values) >= below or any(
+            direction * (t2 - t1) <= 0 for t1, t2 in zip(values, values[1:])):
         raise ValueError(message)
     return values
 
@@ -164,37 +181,20 @@ def hermite_limit(p: EllipseParams, n: int, m: int, alpha_sequence) -> LimitRepo
 
 
 def _hermite_reports(p: EllipseParams, entries, alpha_sequence) -> list[LimitReport]:
-    """hermite_limit for every (n, m) entry listed, from one rule per alpha
-    sized for the largest n + m."""
-    k = _shared_size(entries)
+    """hermite_limit for every (n, m) entry listed."""
     alphas = _monotone(alpha_sequence, +1, "alpha_sequence must be strictly increasing")
-    # log(pi a b n!) of each entry
-    log_ns = [math.log(math.pi * p.a * p.b) + math.lgamma(n + 1) for n, _ in entries]
-    # Targets first: one out of the double range raises before any rule is built.
-    targets = [_times_exp(1.0, log_n + n * math.log(2.0 * p.x_star), "hermite_limit target")
-               if n == m else 0.0 for (n, m), log_n in zip(entries, log_ns)]
-    planar = [_planar_entries(p, alpha, entries, k) for alpha in alphas]
-    reports = []
-    for i, ((n, m), log_n, target) in enumerate(zip(entries, log_ns, targets)):
-        values = tuple(complex(_times_exp(row[i], log_n + math.lgamma(m + 1)
-                                          - 0.5 * (n + m) * math.log1p(alpha),
-                                          "hermite_limit value"))
-                       for alpha, row in zip(alphas, planar))
-        residuals = tuple(_entry_residual(v, target, n == m) for v in values)
-        reports.append(LimitReport(regime=LimitRegime.HERMITE_PLANE, n=n, m=m,
-                                   parameters=alphas, values=values, target=target,
-                                   residuals=residuals, **_HERMITE_BOUNDS,
-                                   extras={"residual_kind": "relative diag / absolute offdiag",
-                                           "rule_nodes": [k, 2 * k],
-                                           "rate": "O(1/alpha)"}))
-    return reports
+    log_ab = math.log(math.pi * p.a * p.b)
+    return _reports(
+        LimitRegime.HERMITE_PLANE, entries, alphas, [(p, alpha) for alpha in alphas],
+        lambda k: [_times_exp(1.0, log_ab + math.lgamma(n + 1) + n * math.log(2.0 * p.x_star),
+                              "hermite_limit target") if n == m else 0.0 for n, m in entries],
+        log_scale=lambda j, n, m: (log_ab + math.lgamma(n + 1) + math.lgamma(m + 1)
+                                   - 0.5 * (n + m) * math.log1p(alphas[j])))
 
 
 def _disc_moments(a: float, alpha: float, entries, k: int) -> list[complex]:
-    """<z^n, z^m> for each (n, m) listed, on the disc |z| < a under
-    (1+alpha)(1-|z/a|^2)^alpha dA: polar quadrature on the unit disc (k-node
-    Gauss-Jacobi radially, 2k-point trapezoid in angle, exact for every
-    n + m < 2k), each scaled by a^{n+m} in logs."""
+    """disc_reference for each (n, m) listed, on one k-node polar rule: exact
+    for every n + m < 2k."""
     t, u = _gauss_jacobi(k, alpha, 0.0)
     theta = np.pi * np.arange(2 * k) / k
     z = np.outer(np.sqrt(t), np.exp(1j * theta))
@@ -210,7 +210,7 @@ def disc_reference(a: float, alpha: float, n: int, m: int) -> complex:
     a^{n+m} in logs.  The closed diagonal is n! a^{2n} / (2+alpha)_n.
     Raises ValueError when the value leaves the double range.
     """
-    return _disc_moments(a, alpha, [(n, m)], _entry_size(n, m))[0]
+    return _disc_moments(a, alpha, [(n, m)], _rule_size([(n, m)]))[0]
 
 
 def disc_limit(a: float, n: int, m: int, alpha: float, b_sequence) -> LimitReport:
@@ -219,44 +219,29 @@ def disc_limit(a: float, n: int, m: int, alpha: float, b_sequence) -> LimitRepor
     (the monic polynomials degenerate to monomials; truncated-unitary
     regime).  The disc reference is computed by polar quadrature.
 
-    Residuals are absolute: the diagonal converges at rate ~ n (1 - b/a),
-    which the prefactor-free absolute error tracks cleanly while every
-    off-diagonal entry is an exact zero on both sides.  The monic factors,
-    the radius scale and the closed diagonal are taken in logs; a value
-    outside the double range raises ValueError.
+    Residuals are absolute on the unit-disc scale, |value - target| a^{-(n+m)}
+    (values and target stay in units of a), as the regime is scale-free
+    under z -> z / a.  The diagonal converges at rate ~ n (1 - b/a), which
+    the prefactor-free absolute error tracks cleanly while every off-diagonal
+    entry is an exact zero on both sides.  The monic factors, the radius
+    scale and the closed diagonal are taken in logs; a value outside the
+    double range raises ValueError.
     """
     return _disc_reports(a, [(n, m)], alpha, b_sequence)[0]
 
 
 def _disc_reports(a: float, entries, alpha: float, b_sequence) -> list[LimitReport]:
-    """disc_limit for every (n, m) entry listed, from one rule per b and one
-    disc rule, sized for the largest n + m."""
-    k = _shared_size(entries)
-    bs = _monotone(b_sequence, +1, "b_sequence must be strictly increasing toward a")
-    if bs[-1] >= a:
-        raise ValueError("b_sequence must stay below a")
-    # Closed diagonals first: one out of the double range raises before any
-    # rule is built.
-    closed = [_times_exp(1.0, _log_ratio_product(1.0, 2.0 + alpha, n) + 2 * n * math.log(a),
-                         "disc_limit closed diagonal") if n == m else 0.0 for n, m in entries]
+    """disc_limit for every (n, m) entry listed."""
+    bs = _monotone(b_sequence, +1, "b_sequence must be strictly increasing toward a, below a", a)
     ps = [make_params(a, b) for b in bs]
-    planar = [_planar_entries(p, alpha, entries, k) for p in ps]
-    targets = _disc_moments(a, alpha, entries, k)
-    reports = []
-    for i, ((n, m), closed_diag, target) in enumerate(zip(entries, closed, targets)):
-        values = tuple(complex(_times_exp(row[i], _log_monic_factor(alpha, p, n)
-                                          + _log_monic_factor(alpha, p, m),
-                                          "disc_limit value"))
-                       for p, row in zip(ps, planar))
-        residuals = tuple(abs(v - target) for v in values)
-        reports.append(LimitReport(regime=LimitRegime.DISC_TRUNCATED_UNITARY, n=n, m=m,
-                                   parameters=bs, values=values, target=target,
-                                   residuals=residuals, **_DISC_BOUNDS,
-                                   extras={"residual_kind": "absolute",
-                                           "rule_nodes": [k, 2 * k],
-                                           "closed_diagonal": closed_diag,
-                                           "rate": "O(n (1 - b/a)) relative on the diagonal"}))
-    return reports
+    return _reports(
+        LimitRegime.DISC_TRUNCATED_UNITARY, entries, bs, [(p, alpha) for p in ps],
+        lambda k: _disc_moments(a, alpha, entries, k),
+        log_scale=lambda j, n, m: (_log_monic_factor(alpha, ps[j], n)
+                                   + _log_monic_factor(alpha, ps[j], m)),
+        extras=lambda k: [{"closed_diagonal": _times_exp(
+            1.0, _log_ratio_product(1.0, 2.0 + alpha, n) + 2 * n * math.log(a),
+            "disc_limit closed diagonal") if n == m else 0.0} for n, m in entries])
 
 
 def realline_constant(alpha: float) -> float:
@@ -275,37 +260,26 @@ def realline_limit(a: float, n: int, m: int, alpha: float, b_sequence) -> LimitR
 
     the classical real-line Gegenbauer orthogonality.  The prefactor is the
     reciprocal of the weight's mass, so the target is the k-node unit-mass
-    Gauss-Jacobi sum, exact for degree n + m.  Residuals are
-    relative on the diagonal (rate O(b^2) with an n-dependent constant),
-    absolute off it.
+    Gauss-Jacobi sum, exact for degree n + m.  Residuals are relative on the
+    diagonal (rate O(b^2) with an n-dependent constant), absolute off it.
+    A value outside the double range raises ValueError.
     """
     return _realline_reports(a, [(n, m)], alpha, b_sequence)[0]
 
 
 def _realline_reports(a: float, entries, alpha: float, b_sequence) -> list[LimitReport]:
-    """realline_limit for every (n, m) entry listed, from one rule per b and
-    one real-line rule, sized for the largest n + m."""
-    k = _shared_size(entries)
-    bs = _monotone(b_sequence, -1, "b_sequence must be strictly decreasing toward 0")
-    if bs[0] >= a:
-        raise ValueError("b_sequence must stay below a")
-    t1, w1 = _gauss_jacobi(k, alpha + 0.5, alpha + 0.5)
-    C1 = gegenbauer_matrix(alpha, max(max(entry) for entry in entries), 2.0 * t1 - 1.0).real
-    planar = [_planar_entries(make_params(a, b), alpha, entries, k) for b in bs]
-    reports = []
-    for i, (n, m) in enumerate(entries):
+    """realline_limit for every (n, m) entry listed."""
+    bs = _monotone(b_sequence, -1, "b_sequence must be strictly decreasing toward 0, below a", a)
+
+    def targets(k):
+        t1, w1 = _gauss_jacobi(k, alpha + 0.5, alpha + 0.5)
+        C1 = gegenbauer_matrix(alpha, max(max(entry) for entry in entries), 2.0 * t1 - 1.0).real
         # The real-line family is exactly orthogonal: off the diagonal the limit is 0.
-        target = float(np.sum(w1 * C1[n] * C1[m])) if n == m else 0.0
-        values = tuple(complex(row[i]) for row in planar)
-        residuals = tuple(_entry_residual(v, target, n == m) for v in values)
-        closed_diag = (1.0 + alpha) / (1.0 + alpha + n) * math.exp(
-            _log_ratio_product(2.0 + 2.0 * alpha, 1.0, n)) if n == m else 0.0
-        reports.append(LimitReport(regime=LimitRegime.REAL_LINE, n=n, m=m,
-                                   parameters=bs, values=values, target=target,
-                                   residuals=residuals, **_REALLINE_BOUNDS,
-                                   extras={"residual_kind": "relative diag / absolute offdiag",
-                                           "rule_nodes": [k, 2 * k],
-                                           "oracle_nodes": k,
-                                           "closed_diagonal": closed_diag,
-                                           "rate": "O(b^2) with constant growing in n"}))
-    return reports
+        return [float(np.sum(w1 * C1[n] * C1[m])) if n == m else 0.0 for n, m in entries]
+
+    return _reports(
+        LimitRegime.REAL_LINE, entries, bs, [(make_params(a, b), alpha) for b in bs], targets,
+        extras=lambda k: [{"oracle_nodes": k, "closed_diagonal": (1.0 + alpha) / (1.0 + alpha + n)
+                           * _times_exp(1.0, _log_ratio_product(2.0 + 2.0 * alpha, 1.0, n),
+                                        "realline_limit closed diagonal") if n == m else 0.0}
+                          for n, m in entries])

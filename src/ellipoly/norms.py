@@ -11,6 +11,7 @@ ones such as a point-charge weight included.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -247,13 +248,17 @@ def _log_monic_factor(alpha: float, p: EllipseParams, n: int) -> float:
     return math.lgamma(n + 1) + n * math.log(p.c / 2.0) - lnpoch(1.0 + alpha, n)
 
 
-def _exp_in_range(log_value: float, name: str) -> float:
-    """exp(log_value); raises ValueError naming the value when it overflows
-    the double range."""
-    try:
-        return math.exp(log_value)
-    except OverflowError:
-        raise ValueError(f"{name} = exp({log_value!r}) overflows the double range") from None
+def _times_exp(value, log_scale: float, what: str):
+    """value * exp(log_scale) as one exponential, so that a scale outside the
+    double range does not overflow when the product lies inside it; raises
+    ValueError naming `what` when the product leaves the range.  At value 1.0
+    this is math.exp(log_scale) bit for bit."""
+    if value == 0:
+        return value
+    log_mag = log_scale + math.log(abs(value))
+    if not log_mag < math.log(sys.float_info.max):   # also catches nan
+        raise ValueError(f"{what} exp({log_mag!r}) is not finite: it overflows the double range")
+    return value / abs(value) * math.exp(log_mag)
 
 
 def monic_factor(alpha: float, p: EllipseParams, n: int) -> float:
@@ -265,7 +270,7 @@ def monic_factor(alpha: float, p: EllipseParams, n: int) -> float:
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    return _exp_in_range(_log_monic_factor(alpha, p, n), f"monic factor of degree {n}")
+    return _times_exp(1.0, _log_monic_factor(alpha, p, n), f"monic factor of degree {n}")
 
 
 def log_monic_norm(alpha: float, p: EllipseParams, n: int,
@@ -303,4 +308,4 @@ def monic_norm(alpha: float, p: EllipseParams, n: int,
                method: str = "gegenbauer") -> float:
     """Squared norm htilde_n of the monic polynomial under dA_alpha; raises
     ValueError when htilde_n is beyond the double range."""
-    return _exp_in_range(log_monic_norm(alpha, p, n, method=method), f"htilde_{n}")
+    return _times_exp(1.0, log_monic_norm(alpha, p, n, method=method), f"htilde_{n}")

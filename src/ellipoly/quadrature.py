@@ -254,9 +254,16 @@ def contour_check(p: EllipseParams, n: int, m: int) -> complex:
     n + m + 3 points, the fewest that resolve it, is exact.  The closed
     value is i pi (n+1)/2 [(r/c)^{2n+2} - (c/r)^{2n+2}] delta_{nm}.
     """
-    if n < 0 or m < 0:
+    return complex(_contour_values(p, n, [m])[0])
+
+
+def _contour_values(p: EllipseParams, n: int, ms) -> np.ndarray:
+    """contour_check(p, n, m) for every m listed, from one trapezoid rule of
+    n + max(ms) + 3 points, exact for each of them."""
+    ms = np.asarray(ms)
+    if n < 0 or ms.min() < 0:
         raise ValueError("degrees must be nonnegative")
-    n_theta = n + m + 3
+    n_theta = n + int(ms.max()) + 3
     theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
     w = p.r * np.exp(1j * theta)
     z = joukowsky(p, w)
@@ -264,7 +271,7 @@ def contour_check(p: EllipseParams, n: int, m: int) -> complex:
     un = eval_gegenbauer(0.0, n, z / p.c)
     dT = (n + 1) * un * (1.0 - (p.c / w) ** 2) / (2.0 * p.c)
     # T_{m+1}(z(w)/c) on |w| = r via the Laurent form ((w/c)^k + (c/w)^k)/2.
-    k = m + 1
+    k = ms[:, None] + 1
     Tm = 0.5 * ((w / p.c) ** k + (p.c / w) ** k)
     integrand = dT * np.conj(Tm) * 1j * w
-    return complex(integrand.mean() * 2.0 * np.pi)
+    return integrand.mean(axis=1) * 2.0 * np.pi

@@ -230,6 +230,17 @@ def test_disc_limit_past_the_double_range_exits_one():
     assert "Traceback" not in p.stderr and "Warning" not in p.stderr
 
 
+def test_realline_limit_past_the_double_range_exits_one():
+    """The degree-250 real-line closed diagonal at alpha = 1000 is beyond the
+    double range: the command refuses it without a traceback."""
+    p = run_cli("limits", "--regime", "realline", "--n", "250", "--m", "250",
+                "--alpha", "1000")
+    assert p.returncode == 1
+    assert p.stdout == ""
+    assert "not finite" in p.stderr
+    assert "Traceback" not in p.stderr and "Warning" not in p.stderr
+
+
 def test_selberg_past_the_monic_factor_range_exits_one():
     """At a = 1000 the monic factors overflow alone, yet log Z_150 is finite;
     only Z_150 itself is out of range, so the command refuses it cleanly."""

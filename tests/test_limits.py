@@ -1,6 +1,7 @@
 """Degeneration regimes: Hermite plane, truncated-unitary disc, real line."""
 
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -17,7 +18,7 @@ from ellipoly import (
     realline_constant,
     realline_limit,
 )
-from ellipoly.limits import _planar_entry
+from ellipoly.limits import _planar_entries, _rule_size
 
 
 def test_hermite_diagonal_target_hand_value(p21):
@@ -176,7 +177,7 @@ def test_planar_entry_is_the_closed_norm(p, alpha):
     for n in range(7):
         for m in range(7):
             want = h[n] if n == m else 0.0
-            got = _planar_entry(p, alpha, n, m)
+            got = _planar_entries(p, alpha, [(n, m)], _rule_size([(n, m)]))[0]
             assert abs(got - want) <= 5e-12 * math.sqrt(h[n] * h[m]), (n, m)
 
 
@@ -230,3 +231,30 @@ def test_disc_limit_past_the_double_range_raises():
     assert rep.extras["closed_diagonal"] == pytest.approx(want, rel=1e-13)
     assert rep.target.real == pytest.approx(want, rel=1e-12)
     assert all(math.isfinite(abs(v)) for v in rep.values)
+
+
+@pytest.mark.parametrize("a", [10.0, 100.0])
+@pytest.mark.parametrize("alpha", [0.0, 2.0])
+def test_disc_limit_is_scale_free(a, alpha):
+    """Residuals on the unit-disc scale: at radius a with b/a held fixed the
+    verdicts are those at a = 1 and the diagonal residuals agree, where the
+    unscaled residuals grew like a^(n+m)."""
+    for n in range(5):
+        for m in range(5):
+            unit = disc_limit(1.0, n, m, alpha, (0.9, 0.99, 0.999))
+            rep = disc_limit(a, n, m, alpha, (0.9 * a, 0.99 * a, 0.999 * a))
+            assert rep.verdict == unit.verdict, (n, m)
+            if n == m:
+                for got, want in zip(rep.residuals, unit.residuals):
+                    assert got == pytest.approx(want, rel=1e-9), n
+
+
+@pytest.mark.parametrize("n", [216, 250])
+def test_realline_limit_past_the_double_range_raises(n):
+    """At alpha = 1000 the planar entries leave the double range from degree
+    214 and the closed diagonal from degree 219: both raise ValueError, not
+    OverflowError, with no numpy warning and no non-finite report."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="not finite"):
+            realline_limit(2.0, n, n, 1000.0, (0.3, 0.1, 0.03))

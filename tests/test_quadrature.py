@@ -25,7 +25,7 @@ from ellipoly import (
     moment_table,
     weight_density,
 )
-from ellipoly.quadrature import _exact_size, _gauss_jacobi
+from ellipoly.quadrature import _contour_values, _exact_size, _gauss_jacobi
 
 
 @pytest.mark.parametrize("alpha", [-0.9, 0.0, 1.0, 4.0])
@@ -239,6 +239,20 @@ def test_contour_exact_at_its_degree_sized_rule():
             assert abs(contour_check(p, n, m) - closed) <= 1e-13 * scale, (n, m)
     with pytest.raises(ValueError, match="nonnegative"):
         contour_check(make_params(2.0, 1.0), 0, -1)
+
+
+def test_contour_rows_are_the_single_entries():
+    """One n + max(ms) + 3 point rule per n gives every contour_check(p, n, m)
+    of the row to roundoff of the larger diagonal."""
+    for p in (make_params(2.0, 1.0), make_params(1.5, 0.4)):
+        q2 = (p.r / p.c) ** 2
+        diag = [math.pi * (k + 1) / 2 * (q2 ** (k + 1) - q2 ** -(k + 1)) for k in range(11)]
+        for n in range(11):
+            row = _contour_values(p, n, range(11))
+            for m in range(11):
+                assert abs(row[m] - contour_check(p, n, m)) <= 1e-14 * max(diag[n], diag[m])
+    with pytest.raises(ValueError, match="nonnegative"):
+        _contour_values(make_params(2.0, 1.0), 3, [0, -1])
 
 
 @pytest.mark.parametrize("alpha", [-0.9, 0.0, 3.7])

@@ -150,3 +150,12 @@ def test_shared_limit_rules_are_the_single_entry_reports():
         assert abs(shared.target - single.target) <= ROUNDOFF * scale
         for v, w in zip(shared.values, single.values):
             assert abs(v - w) <= ROUNDOFF * max(scale, abs(w)), (shared.regime, shared.n, shared.m)
+
+
+def test_limit_regime_final_maxima_are_pinned():
+    """The three regimes' worst final residuals of the battery, as printed by
+    `ellipoly verify`: a change to the limit engine shows here first."""
+    metrics = check_limit_regimes().metrics
+    assert metrics["hermite_final_max"] == pytest.approx(0.0011764705882362748, rel=1e-12)
+    assert metrics["disc_final_max"] == pytest.approx(7.490007496571138e-4, rel=1e-12)
+    assert metrics["realline_final_max"] == pytest.approx(0.0036042148810262425, rel=1e-12)
