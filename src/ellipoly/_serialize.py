@@ -15,13 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .geometry import EllipseParams, Measure
-
-__all__ = ["to_jsonable", "dumps", "write_csv", "params_dict"]
-
-
-def params_dict(p: EllipseParams) -> dict:
-    return {"a": p.a, "b": p.b, "c": p.c, "R": p.R, "r": p.r, "x_star": p.x_star}
+__all__ = ["to_jsonable", "dumps", "write_csv"]
 
 
 def to_jsonable(obj):
@@ -39,11 +33,6 @@ def to_jsonable(obj):
     if isinstance(obj, np.ndarray):
         return [to_jsonable(row) for row in obj.tolist()] if obj.ndim > 1 \
             else [to_jsonable(x) for x in obj.tolist()]
-    if isinstance(obj, EllipseParams):
-        return params_dict(obj)
-    if isinstance(obj, Measure):
-        return {"kind": obj.kind.value, "params": params_dict(obj.params),
-                "alpha": obj.alpha, "normalized": obj.normalized}
     if isinstance(obj, Enum):
         return obj.value
     if dataclasses.is_dataclass(obj):

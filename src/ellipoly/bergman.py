@@ -18,7 +18,7 @@ import numpy as np
 from .geometry import EllipseParams, area_measure
 from .norms import monic_factor, monic_norm
 from .polynomials import _gegenbauer_norms, _recurrence_table, gegenbauer_matrix, lnpoch
-from .quadrature import DEFAULT_N_ANGULAR, DEFAULT_N_RADIAL, build_rule
+from .quadrature import QuadratureRule, build_rule
 from .selberg import _ensemble_weights
 
 __all__ = [
@@ -195,14 +195,14 @@ class HessenbergMatrix:
 
 
 def hessenberg(basis, nmax: int, strategy: str = "auto",
-               n_radial: int = DEFAULT_N_RADIAL,
-               n_angular: int = DEFAULT_N_ANGULAR) -> HessenbergMatrix:
+               rule: QuadratureRule | None = None) -> HessenbergMatrix:
     """Hessenberg matrix of multiplication by z in the given orthonormal basis.
 
     For the plain Gegenbauer basis the closed three-term coefficients are
     used ('closed', the default); 'quadrature' recomputes every entry from
     the Gram integrals.  The Christoffel basis always uses quadrature under
-    the charged weight |v - z|^2 dA_alpha.
+    the charged weight |v - z|^2 dA_alpha.  Quadrature runs on a rule for
+    the uncharged area_measure(basis.params, basis.alpha), by default its build_rule.
     """
     if nmax < 1:
         raise ValueError("nmax must be at least 1")
@@ -225,8 +225,11 @@ def hessenberg(basis, nmax: int, strategy: str = "auto",
     else:
         raise TypeError(f"unsupported basis {type(basis).__name__}")
 
-    rule = build_rule(area_measure(basis.params, basis.alpha),
-                      n_radial=n_radial, n_angular=n_angular)
+    measure = area_measure(basis.params, basis.alpha)
+    if rule is None:
+        rule = build_rule(measure)
+    elif rule.measure != measure:
+        raise ValueError("rule was built for a different measure")
     nodes, weights = rule.nodes, rule.weights
     del rule  # lets the charged weights below release the plain ones
     if isinstance(basis, ChristoffelBasis):

@@ -17,9 +17,9 @@ import sys
 import numpy as np
 
 from . import __version__
-from ._serialize import dumps, params_dict, write_csv
+from ._serialize import dumps, to_jsonable, write_csv
 from .bergman import ChristoffelBasis, GegenbauerBasis, bandwidth, hessenberg
-from .geometry import derived_params, make_params
+from .geometry import area_measure, derived_params, make_params
 from .limits import disc_limit, hermite_limit, realline_limit
 from .norms import _closed_norms, canonical_measure, gram_matrix
 from .polynomials import (
@@ -34,7 +34,13 @@ from .polynomials import (
     jacobi_half,
     legendre,
 )
-from .quadrature import DEFAULT_N_ANGULAR, DEFAULT_N_RADIAL, contour_check
+from .quadrature import (
+    DEFAULT_N_ANGULAR,
+    DEFAULT_N_RADIAL,
+    _contour_closed,
+    build_rule,
+    contour_check,
+)
 from .selberg import selberg_compare
 from .verification import run_all
 
@@ -71,12 +77,12 @@ def _family(name: str, alpha: float | None) -> PolynomialFamily:
     return make(alpha) if needs_alpha else make()
 
 
-def _meta(args, p=None, rule: bool = False, convention: str | None = None) -> dict:
+def _meta(args, p=None, rule=None, convention: str | None = None) -> dict:
     meta = {"version": __version__}
     if p is not None:
-        meta["params"] = params_dict(p)
-    if rule:
-        meta["rule"] = {"n_radial": args.n_radial, "n_angular": args.n_angular}
+        meta["params"] = to_jsonable(p)
+    if rule is not None:
+        meta["rule"] = dict(zip(("n_radial", "n_angular"), rule.shape))
     if convention is not None:
         meta["convention"] = convention
     return meta
@@ -117,11 +123,11 @@ def _cmd_gram(args) -> int:
         p = derived_params(p)
     fam = _family(args.family, args.alpha)
     measure = canonical_measure(fam, p)
-    res = gram_matrix(fam, measure, args.nmax,
-                      n_radial=args.n_radial, n_angular=args.n_angular)
+    rule = build_rule(measure, args.n_radial, args.n_angular)
+    res = gram_matrix(fam, measure, args.nmax, rule=rule)
     convention = "normalized" if measure.normalized else "flat"
     payload = {
-        "meta": _meta(args, p, rule=True, convention=convention),
+        "meta": _meta(args, p, rule=rule, convention=convention),
         "data": {
             "family": args.family,
             "alpha": args.alpha,
@@ -167,12 +173,14 @@ def _cmd_hessenberg(args) -> int:
         basis = GegenbauerBasis(args.alpha, p)
     else:
         basis = ChristoffelBasis(args.alpha, p, complex(args.v_re, args.v_im))
-    H = hessenberg(basis, args.nmax, strategy=args.strategy,
-                   n_radial=args.n_radial, n_angular=args.n_angular)
+    rule = None
+    if (args.strategy == "quadrature"
+            or args.strategy == "auto" and args.basis == "christoffel"):
+        rule = build_rule(area_measure(p, args.alpha), args.n_radial, args.n_angular)
+    H = hessenberg(basis, args.nmax, strategy=args.strategy, rule=rule)
     d = bandwidth(H, args.tol)
     payload = {
-        "meta": _meta(args, p, rule=(H.strategy == "quadrature"),
-                      convention="normalized"),
+        "meta": _meta(args, p, rule=rule, convention="normalized"),
         "data": {"basis": H.basis_label, "nmax": H.nmax,
                  "strategy": H.strategy, "entries": H.entries,
                  "bandwidth": d, "bandwidth_tol": args.tol},
@@ -236,10 +244,7 @@ def _cmd_limits(args) -> int:
 def _cmd_contour(args) -> int:
     p = make_params(args.a, args.b)
     val = contour_check(p, args.n, args.m)
-    q = p.r / p.c
-    expected = 1j * math.pi * (args.n + 1) / 2.0 \
-        * (q ** (2 * args.n + 2) - q ** (-2 * args.n - 2)) \
-        if args.n == args.m else 0j
+    expected = _contour_closed(p, args.n) if args.n == args.m else 0j
     payload = {
         "meta": _meta(args, p),
         "data": {"n": args.n, "m": args.m, "value": val, "expected": expected,

@@ -28,7 +28,7 @@ import numpy as np
 from .geometry import EllipseParams, area_measure, make_params
 from .norms import _log_monic_factor, _times_exp
 from .polynomials import gegenbauer_matrix
-from .quadrature import _exact_size, _gauss_jacobi, build_rule
+from .quadrature import _area_rule, _exact_rule, _exact_size, _gauss_jacobi
 
 __all__ = [
     "LimitRegime",
@@ -100,35 +100,36 @@ _REGIMES = {
 }
 
 
-def _rule_size(entries) -> int:
-    """Size of the k x 2k rule exact for every (n, m) listed; rejects n, m < 0."""
+def _degree(entries) -> int:
+    """The largest n + m of the (n, m) listed; rejects n, m < 0."""
     if any(n < 0 or m < 0 for n, m in entries):
         raise ValueError("degrees must be nonnegative")
-    return _exact_size(max(n + m for n, m in entries))
+    return max(n + m for n, m in entries)
 
 
-def _planar_entries(p: EllipseParams, alpha: float, entries, k: int) -> np.ndarray:
+def _planar_entries(p: EllipseParams, alpha: float, entries, degree: int):
     """<C_n(z/c), C_m(z/c)>_alpha for each (n, m) listed, under dA_alpha on the
-    ellipse p, by one k x 2k area rule: exact for every n + m < 2k."""
-    rule = build_rule(area_measure(p, alpha), n_radial=k, n_angular=2 * k)
+    ellipse p, by the area rule exact for degree (every n + m <= degree),
+    and that rule's shape."""
+    rule = _exact_rule(area_measure(p, alpha), degree)
     n, m = np.array(entries).T
     C = gegenbauer_matrix(alpha, max(n.max(), m.max()), rule.nodes / p.c)
-    return np.sum(rule.weights * C[n] * np.conj(C[m]), axis=1)
+    return rule.shape, np.sum(rule.weights * C[n] * np.conj(C[m]), axis=1)
 
 
 def _reports(regime: LimitRegime, entries, parameters, planes, targets,
              log_scale=None, extras=None) -> list[LimitReport]:
-    """One LimitReport per (n, m) entry listed, along parameters: one k x 2k
-    rule per (ellipse, alpha) of planes, sized for the largest n + m, gives
+    """One LimitReport per (n, m) entry listed, along parameters: one rule
+    per (ellipse, alpha) of planes, exact for the largest n + m = d, gives
     the planar entries, times exp(log_scale(j, n, m)) at parameter j when
-    given.  extras(k) and targets(k) list each entry's own fields and limit;
+    given.  extras(d) and targets(d) list each entry's own fields and limit;
     both run before any planar rule is built, so a closed value out of the
     double range raises first."""
-    k = _rule_size(entries)
-    own = extras(k) if extras else [{}] * len(entries)
-    expected = targets(k)
+    d = _degree(entries)
+    own = extras(d) if extras else [{}] * len(entries)
+    expected = targets(d)
     with np.errstate(over="ignore", invalid="ignore"):
-        planar = [_planar_entries(p, alpha, entries, k) for p, alpha in planes]
+        shapes, planar = zip(*[_planar_entries(p, alpha, entries, d) for p, alpha in planes])
     if not all(np.isfinite(row).all() for row in planar):
         raise ValueError(f"{regime.value} planar entries are not finite in double precision")
     tolerance, noise_floor, residual, residual_kind, rate = _REGIMES[regime]
@@ -141,7 +142,7 @@ def _reports(regime: LimitRegime, entries, parameters, planes, targets,
             regime=regime, n=n, m=m, parameters=parameters, values=values, target=expected[i],
             residuals=tuple(residual(v, expected[i], n, m, p) for v, (p, _) in zip(values, planes)),
             tolerance=tolerance, noise_floor=noise_floor,
-            extras={"residual_kind": residual_kind, "rule_nodes": [k, 2 * k], **own[i],
+            extras={"residual_kind": residual_kind, "rule_nodes": list(shapes[0]), **own[i],
                     "rate": rate}))
     return reports
 
@@ -186,38 +187,37 @@ def _hermite_reports(p: EllipseParams, entries, alpha_sequence) -> list[LimitRep
     log_ab = math.log(math.pi * p.a * p.b)
     return _reports(
         LimitRegime.HERMITE_PLANE, entries, alphas, [(p, alpha) for alpha in alphas],
-        lambda k: [_times_exp(1.0, log_ab + math.lgamma(n + 1) + n * math.log(2.0 * p.x_star),
+        lambda d: [_times_exp(1.0, log_ab + math.lgamma(n + 1) + n * math.log(2.0 * p.x_star),
                               "hermite_limit target") if n == m else 0.0 for n, m in entries],
         log_scale=lambda j, n, m: (log_ab + math.lgamma(n + 1) + math.lgamma(m + 1)
                                    - 0.5 * (n + m) * math.log1p(alphas[j])))
 
 
-def _disc_moments(a: float, alpha: float, entries, k: int) -> list[complex]:
-    """disc_reference for each (n, m) listed, on one k-node polar rule: exact
-    for every n + m < 2k."""
-    t, u = _gauss_jacobi(k, alpha, 0.0)
-    theta = np.pi * np.arange(2 * k) / k
-    z = np.outer(np.sqrt(t), np.exp(1j * theta))
-    return [complex(_times_exp(np.sum((u / (2 * k))[:, None] * z ** n * np.conj(z) ** m),
+def _disc_moments(a: float, alpha: float, entries, degree: int) -> list[complex]:
+    """disc_reference for each (n, m) listed, on the k x 2k area rule of the
+    unit disc exact for degree (every n + m <= degree)."""
+    k = _exact_size(degree)
+    z, w = _area_rule(1.0, 1.0, alpha, k, 2 * k)
+    return [complex(_times_exp(np.sum(w * z ** n * np.conj(z) ** m),
                                (n + m) * math.log(a), "disc_reference value"))
             for n, m in entries]
 
 
 def disc_reference(a: float, alpha: float, n: int, m: int) -> complex:
     """<z^n, z^m> on the disc |z| < a under (1+alpha)(1-|z/a|^2)^alpha dA,
-    by polar-coordinate quadrature (k-node Gauss-Jacobi radially, 2k-point
-    trapezoid in angle, exact for degree n + m) on the unit disc, scaled by
-    a^{n+m} in logs.  The closed diagonal is n! a^{2n} / (2+alpha)_n.
-    Raises ValueError when the value leaves the double range.
+    by the area rule on the unit disc (k-node Gauss-Jacobi radially, 2k-point
+    trapezoid in angle, exact for degree n + m), scaled by a^{n+m} in logs.
+    The closed diagonal is n! a^{2n} / (2+alpha)_n.  Raises ValueError when
+    the value leaves the double range.
     """
-    return _disc_moments(a, alpha, [(n, m)], _rule_size([(n, m)]))[0]
+    return _disc_moments(a, alpha, [(n, m)], _degree([(n, m)]))[0]
 
 
 def disc_limit(a: float, n: int, m: int, alpha: float, b_sequence) -> LimitReport:
     """b -> a: the monic inner products <ptilde_n, ptilde_m> under dA_alpha
     on the ellipse (a, b) approach the disc moments <z^n, z^m> of radius a
     (the monic polynomials degenerate to monomials; truncated-unitary
-    regime).  The disc reference is computed by polar quadrature.
+    regime).  The disc reference comes from the area rule on the unit disc.
 
     Residuals are absolute on the unit-disc scale, |value - target| a^{-(n+m)}
     (values and target stay in units of a), as the regime is scale-free
@@ -236,10 +236,10 @@ def _disc_reports(a: float, entries, alpha: float, b_sequence) -> list[LimitRepo
     ps = [make_params(a, b) for b in bs]
     return _reports(
         LimitRegime.DISC_TRUNCATED_UNITARY, entries, bs, [(p, alpha) for p in ps],
-        lambda k: _disc_moments(a, alpha, entries, k),
+        lambda d: _disc_moments(a, alpha, entries, d),
         log_scale=lambda j, n, m: (_log_monic_factor(alpha, ps[j], n)
                                    + _log_monic_factor(alpha, ps[j], m)),
-        extras=lambda k: [{"closed_diagonal": _times_exp(
+        extras=lambda d: [{"closed_diagonal": _times_exp(
             1.0, _log_ratio_product(1.0, 2.0 + alpha, n) + 2 * n * math.log(a),
             "disc_limit closed diagonal") if n == m else 0.0} for n, m in entries])
 
@@ -271,15 +271,16 @@ def _realline_reports(a: float, entries, alpha: float, b_sequence) -> list[Limit
     """realline_limit for every (n, m) entry listed."""
     bs = _monotone(b_sequence, -1, "b_sequence must be strictly decreasing toward 0, below a", a)
 
-    def targets(k):
-        t1, w1 = _gauss_jacobi(k, alpha + 0.5, alpha + 0.5)
+    def targets(d):
+        t1, w1 = _gauss_jacobi(_exact_size(d), alpha + 0.5, alpha + 0.5)
         C1 = gegenbauer_matrix(alpha, max(max(entry) for entry in entries), 2.0 * t1 - 1.0).real
         # The real-line family is exactly orthogonal: off the diagonal the limit is 0.
         return [float(np.sum(w1 * C1[n] * C1[m])) if n == m else 0.0 for n, m in entries]
 
     return _reports(
         LimitRegime.REAL_LINE, entries, bs, [(make_params(a, b), alpha) for b in bs], targets,
-        extras=lambda k: [{"oracle_nodes": k, "closed_diagonal": (1.0 + alpha) / (1.0 + alpha + n)
+        extras=lambda d: [{"oracle_nodes": _exact_size(d),
+                           "closed_diagonal": (1.0 + alpha) / (1.0 + alpha + n)
                            * _times_exp(1.0, _log_ratio_product(2.0 + 2.0 * alpha, 1.0, n),
                                         "realline_limit closed diagonal") if n == m else 0.0}
                           for n, m in entries])

@@ -37,12 +37,7 @@ from .polynomials import (
     gegenbauer_norm,
     lnpoch,
 )
-from .quadrature import (
-    DEFAULT_N_ANGULAR,
-    DEFAULT_N_RADIAL,
-    QuadratureRule,
-    build_rule,
-)
+from .quadrature import QuadratureRule, build_rule
 
 __all__ = [
     "GramResult",
@@ -161,8 +156,6 @@ class GramResult:
     diag: np.ndarray
     closed_diag: np.ndarray | None
     diag_relative_errors: np.ndarray | None
-    n_radial: int
-    n_angular: int
 
     @property
     def max_diag_error(self) -> float:
@@ -180,13 +173,12 @@ def _is_canonical(family: PolynomialFamily, measure: Measure) -> bool:
 
 
 def gram_matrix(family: PolynomialFamily, measure: Measure, nmax: int,
-                rule: QuadratureRule | None = None,
-                n_radial: int = DEFAULT_N_RADIAL,
-                n_angular: int = DEFAULT_N_ANGULAR) -> GramResult:
+                rule: QuadratureRule | None = None) -> GramResult:
     """Full Gram matrix of family members 0..nmax (argument z/c) under the
-    measure, by quadrature; conjugate symmetry is enforced exactly."""
+    measure, by quadrature on the rule (default: build_rule(measure));
+    conjugate symmetry is enforced exactly."""
     if rule is None:
-        rule = build_rule(measure, n_radial=n_radial, n_angular=n_angular)
+        rule = build_rule(measure)
     elif rule.measure != measure:
         raise ValueError("rule was built for a different measure")
     p = measure.params
@@ -204,8 +196,7 @@ def gram_matrix(family: PolynomialFamily, measure: Measure, nmax: int,
         rel = np.abs(diag - closed_diag) / np.abs(closed_diag)
     return GramResult(family=family, measure=measure, nmax=nmax, matrix=G,
                       max_offdiag=max_offdiag, diag=diag, closed_diag=closed_diag,
-                      diag_relative_errors=rel,
-                      n_radial=n_radial, n_angular=n_angular)
+                      diag_relative_errors=rel)
 
 
 def gram_schmidt(measure: Measure, nmax: int,

@@ -42,13 +42,14 @@ DEFAULT_N_ANGULAR = 384
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Complex nodes and positive weights approximating integration
-    against the measure, in the measure's own convention (normalized
-    rules have total weight 1)."""
+    """Complex nodes and positive weights approximating integration against
+    the measure, in the measure's own convention (normalized rules have total
+    weight 1), and the (n_radial, n_angular) shape build_rule used."""
 
     measure: Measure
     nodes: np.ndarray
     weights: np.ndarray
+    shape: tuple[int, int]
 
     @property
     def mass(self) -> float:
@@ -98,13 +99,18 @@ def _gauss_jacobi(k: int, a: float, b: float):
     e[1:2] = (1.0 + a) * (1.0 + b) / ((2.0 + s) ** 2 * (3.0 + s))
     e = np.sqrt(e[1:])
     t = np.linalg.eigvalsh(np.diag(d) + np.diag(e, -1))
-    P = _forward(k - 1, t, lambda t: (t - d[0]) / e[0],
-                 lambda j, t, cur, prev: ((t - d[j]) * cur - e[j - 1] * prev) / e[j])
-    return t, 1.0 / np.sum(np.abs(P) ** 2, axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        P = _forward(k - 1, t, lambda t: (t - d[0]) / e[0],
+                     lambda j, t, cur, prev: ((t - d[j]) * cur - e[j - 1] * prev) / e[j])
+        total = np.sum(np.abs(P) ** 2, axis=0)
+    # A sum out of range (inf, or nan from inf - inf) has some |p_j| > sqrt(DBL_MAX):
+    # its weight is below 1/DBL_MAX against unit mass, zero in double precision.
+    return t, np.where(np.isfinite(total), 1.0 / total, 0.0)
 
 
-def _area_rule(p: EllipseParams, alpha: float, n_radial: int, n_angular: int):
-    """Rule for dA_alpha = (1+alpha)(1-h)^alpha dA, total mass 1.
+def _area_rule(a: float, b: float, alpha: float, n_radial: int, n_angular: int):
+    """Rule for dA_alpha = (1+alpha)(1-h)^alpha dA on the ellipse with
+    semi-axes a >= b (a = b is the disc), total mass 1.
 
     Radial direction: with t = r^2 the measure is (1+alpha)(1-t)^alpha dt
     on (0, 1), the unit-mass Gauss-Jacobi rule in t.  Angular direction:
@@ -114,7 +120,7 @@ def _area_rule(p: EllipseParams, alpha: float, n_radial: int, n_angular: int):
     t, u = _gauss_jacobi(n_radial, alpha, 0.0)
     r = np.sqrt(t)
     theta = 2.0 * np.pi * np.arange(n_angular // 2) / n_angular
-    zhalf = p.a * np.outer(r, np.cos(theta)) + 1j * p.b * np.outer(r, np.sin(theta))
+    zhalf = a * np.outer(r, np.cos(theta)) + 1j * b * np.outer(r, np.sin(theta))
     return _interleave_antipodes(zhalf, u / n_angular)
 
 
@@ -150,7 +156,7 @@ def build_rule(measure: Measure,
     alpha = 0.0 if measure.alpha is None else measure.alpha
 
     if kind == MeasureKind.AREA_ALPHA:
-        nodes, weights = _area_rule(p, alpha, n_radial, n_angular)
+        nodes, weights = _area_rule(p.a, p.b, alpha, n_radial, n_angular)
     elif kind == MeasureKind.CHEBYSHEV_T:
         nodes, weights = _chebyshev_t_rule(p, n_radial, n_angular)
     elif kind in (MeasureKind.B_MINUS, MeasureKind.B_PLUS,
@@ -159,7 +165,7 @@ def build_rule(measure: Measure,
         # w = c (2 (z/c)^2 - 1): the push-forward of dA_alpha is exactly
         # dB_alpha^- of the derived ellipse, so the weights transfer as-is.
         pb = base_params(p)
-        znodes, weights = _area_rule(pb, alpha, n_radial, n_angular)
+        znodes, weights = _area_rule(pb.a, pb.b, alpha, n_radial, n_angular)
         nodes, _ = quadratic_map(pb, znodes)
         if kind == MeasureKind.B_PLUS:
             # dB^+/dB^- = (2+alpha) |c + w| / a, and c + w = 2 z^2 / c on the
@@ -179,7 +185,21 @@ def build_rule(measure: Measure,
     if measure.normalized == flat_built:
         weights = weights / measure.flat_factor if flat_built \
             else weights * measure.flat_factor
-    return QuadratureRule(measure, nodes, weights)
+    return QuadratureRule(measure, nodes, weights, (n_radial, n_angular))
+
+
+def _exact_rule(measure: Measure, degree: int) -> QuadratureRule:
+    """The k x 2k rule for the measure exact for total degree <= degree in z:
+    the mapped B-/V/W rules integrate in the base variable, where the degree
+    doubles, and the B+ density |z|^2 adds 2.  The Chebyshev-T rule's 2k
+    angles resolve every harmonic of order <= degree; its radial factor
+    integrates s^j ds/s, inexact for j < 0 but converged beyond roundoff at
+    this size on p(2,1) (doubling it moves no Gram diagonal by over 1e-14)."""
+    kind = measure.kind
+    if kind not in (MeasureKind.AREA_ALPHA, MeasureKind.CHEBYSHEV_T):
+        degree = 2 * degree + 2 * (kind == MeasureKind.B_PLUS)
+    k = _exact_size(degree)
+    return build_rule(measure, k, 2 * k)
 
 
 def inner_product(f, g, rule: QuadratureRule) -> complex:
@@ -255,6 +275,12 @@ def contour_check(p: EllipseParams, n: int, m: int) -> complex:
     value is i pi (n+1)/2 [(r/c)^{2n+2} - (c/r)^{2n+2}] delta_{nm}.
     """
     return complex(_contour_values(p, n, [m])[0])
+
+
+def _contour_closed(p: EllipseParams, n: int) -> complex:
+    """The closed value of contour_check(p, n, n)."""
+    q = p.r / p.c
+    return 1j * (math.pi * (n + 1) / 2.0 * (q ** (2 * n + 2) - q ** (-2 * n - 2)))
 
 
 def _contour_values(p: EllipseParams, n: int, ms) -> np.ndarray:

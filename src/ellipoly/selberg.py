@@ -16,7 +16,7 @@ import numpy as np
 from .geometry import EllipseParams, area_measure
 from .norms import _log_monic_factor, log_monic_norm
 from .polynomials import _gegenbauer_norms
-from .quadrature import _exact_size, build_rule
+from .quadrature import _exact_rule
 
 __all__ = [
     "SelbergResult",
@@ -65,8 +65,7 @@ def _ensemble_weights(alpha: float, p: EllipseParams, N: int):
     per variable (|z_i - z_j|^2 times one z_i in the Heine average)."""
     if N not in (1, 2):
         raise ValueError("direct tensor quadrature is limited to N in {1, 2}")
-    k = _exact_size(2 * N - 1)
-    rule = build_rule(area_measure(p, alpha), n_radial=k, n_angular=2 * k)
+    rule = _exact_rule(area_measure(p, alpha), 2 * N - 1)
     z, w = rule.nodes, rule.weights
     if N == 1:
         return z, w

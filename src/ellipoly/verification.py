@@ -22,7 +22,7 @@ from .bergman import (
     hessenberg,
     turan_determinant,
 )
-from .geometry import MeasureKind, derived_params, make_params
+from .geometry import MeasureKind, area_measure, derived_params, make_params
 from .limits import _disc_reports, _hermite_reports, _realline_reports
 from .norms import canonical_measure, closed_norm, gram_matrix
 from .polynomials import (
@@ -34,7 +34,7 @@ from .polynomials import (
     jacobi_half,
     legendre,
 )
-from .quadrature import _contour_values, _exact_size, build_rule, moment_table
+from .quadrature import _contour_closed, _contour_values, _exact_rule, moment_table
 from .selberg import selberg_compare, selberg_direct
 
 __all__ = ["CheckResult", "run_all", "CHECKS"]
@@ -50,30 +50,12 @@ class CheckResult:
     metrics: dict = field(default_factory=dict)
 
 
-def _rule_nodes(k: int) -> list[int]:
-    """The [radial, angular] counts of the k x 2k rule, as metrics record them."""
-    return [k, 2 * k]
-
-
-def _gram_size(measure, nmax: int) -> int:
-    """k of the k x 2k rule for the Gram matrix of degrees <= nmax under the
-    measure.  Entries have degree 2 nmax in z on the area rules, twice that in
-    the base variable of the mapped B-/V/W rules, and 2 more under the B+
-    density |z|^2.  The Chebyshev-T rule's 2k angles resolve the harmonics of
-    order 2 nmax exactly; its radial factor integrates s^j ds/s, not exact for
-    j < 0 but converged beyond roundoff at the same size on p(2,1) (doubling
-    it moves no diagonal by more than 1e-14)."""
-    kind = measure.kind
-    if kind in (MeasureKind.AREA_ALPHA, MeasureKind.CHEBYSHEV_T):
-        return _exact_size(2 * nmax)
-    return _exact_size(4 * nmax + 2 * (kind == MeasureKind.B_PLUS))
-
-
 def _sized_gram(family, params, nmax: int):
-    """gram_matrix of the family under its canonical weight on its sized rule."""
+    """gram_matrix of the family under its canonical weight on the rule exact
+    for its entries' degree 2 nmax, and that rule's shape."""
     measure = canonical_measure(family, params)
-    k = _gram_size(measure, nmax)
-    return gram_matrix(family, measure, nmax, n_radial=k, n_angular=2 * k)
+    rule = _exact_rule(measure, 2 * nmax)
+    return gram_matrix(family, measure, nmax, rule=rule), rule.shape
 
 
 def _worst_gram(families, params, nmax: int) -> tuple[float, float, dict]:
@@ -84,10 +66,10 @@ def _worst_gram(families, params, nmax: int) -> tuple[float, float, dict]:
     worst_diag = 0.0
     sizes = {}
     for fam in families:
-        res = _sized_gram(fam, params, nmax)
+        res, shape = _sized_gram(fam, params, nmax)
         worst_off = max(worst_off, res.max_offdiag / res.diag.max())
         worst_diag = max(worst_diag, res.max_diag_error)
-        sizes[res.measure.kind.value] = [res.n_radial, res.n_angular]
+        sizes[res.measure.kind.value] = list(shape)
     return worst_off, worst_diag, sizes
 
 
@@ -112,7 +94,7 @@ def check_legendre_diagonal() -> CheckResult:
     """Legendre diagonal on p(2,1) against P_n(5/3)/(1+2n) to 1e-10 for
     n <= 12, with the reference Legendre values taken from scipy."""
     from scipy.special import eval_legendre   # the oracle, kept off the import path
-    res = _sized_gram(legendre(), P21, 12)
+    res, shape = _sized_gram(legendre(), P21, 12)
     ref = np.array([eval_legendre(n, P21.x_star) / (1.0 + 2 * n) for n in range(13)])
     rel = float(np.max(np.abs(res.diag - ref) / np.abs(ref)))
     off = res.max_offdiag / res.diag.max()
@@ -122,7 +104,7 @@ def check_legendre_diagonal() -> CheckResult:
         passed=passed,
         detail=f"diagonal vs P_n(5/3)/(1+2n): rel {rel:.3e} (tol 1e-10), offdiag ratio {off:.3e}",
         metrics={"worst_diag_rel": rel, "offdiag_ratio": off, "nmax": 12,
-                 "rule_nodes": {res.measure.kind.value: [res.n_radial, res.n_angular]}})
+                 "rule_nodes": {res.measure.kind.value: list(shape)}})
 
 
 def check_jacobi_derived_ellipse() -> CheckResult:
@@ -169,13 +151,13 @@ def check_contour_identity() -> CheckResult:
     """Contour integral of (d/dw) T_{n+1}(z(w)/c) against T_{m+1} on |w| = r:
     equals i pi (n+1)/2 [(r/c)^{2n+2} - (c/r)^{2n+2}] delta_nm to 1e-10,
     scaled by the diagonal magnitude, for n, m <= 10."""
-    q = P21.r / P21.c
-    closed = [math.pi * (k + 1) / 2.0 * (q ** (2 * k + 2) - q ** (-2 * k - 2)) for k in range(11)]
+    closed = [_contour_closed(P21, k) for k in range(11)]
+    scale = np.abs(closed)
     worst = 0.0
     for n in range(11):
         got = _contour_values(P21, n, range(11))   # m = 0..10 from one rule
-        got[n] -= 1j * closed[n]
-        worst = max(worst, float(np.max(np.abs(got) / np.maximum(closed[n], closed))))
+        got[n] -= closed[n]
+        worst = max(worst, float(np.max(np.abs(got) / np.maximum(scale[n], scale))))
     passed = worst <= 1e-10
     return CheckResult(
         name="contour_identity",
@@ -206,18 +188,13 @@ def check_moment_relations() -> CheckResult:
     the coefficient ratio kappa^n_j(alpha)/kappa^n_j(0) =
     Gamma(a+1+(n+j)/2)/(Gamma(a+1)Gamma(1+(n+j)/2)) to 1e-11 for n <= 12."""
     pmax = 20
-    k = _exact_size(2 * pmax)
-
-    def table(alpha: float) -> list[list[complex]]:
-        rule = build_rule(canonical_measure(gegenbauer(alpha), P21),
-                          n_radial=k, n_angular=2 * k)
-        return moment_table(pmax, rule).tolist()
-
-    m0 = table(0.0)
+    rules = {alpha: _exact_rule(area_measure(P21, alpha), 2 * pmax)
+             for alpha in (0.0, -0.5, 1.0, 2.5)}
+    m0 = moment_table(pmax, rules[0.0]).tolist()
     worst_scaling = 0.0
     worst_parity = 0.0
     for alpha in (-0.5, 1.0, 2.5):
-        m = table(alpha)
+        m = moment_table(pmax, rules[alpha]).tolist()
         for p_exp in range(pmax + 1):
             for q_exp in range(pmax + 1 - p_exp):
                 s = p_exp + q_exp
@@ -252,7 +229,7 @@ def check_moment_relations() -> CheckResult:
                 f"{worst_coeff:.3e} (tol 1e-11)"),
         metrics={"worst_scaling_rel": worst_scaling, "worst_parity_abs": worst_parity,
                  "worst_coeff_rel": worst_coeff,
-                 "rule_nodes": {MeasureKind.AREA_ALPHA.value: _rule_nodes(k)}})
+                 "rule_nodes": {MeasureKind.AREA_ALPHA.value: list(rules[0.0].shape)}})
 
 
 def check_multiplication_matrix() -> CheckResult:
@@ -270,19 +247,14 @@ def check_multiplication_matrix() -> CheckResult:
     charge to v = 1.6 restores the clause, which is recorded in the metrics.
     """
     # Entries <z p_n, p_l> have degree 2 nmax in z, and the charge |v - z|^2
-    # adds 2: each rule is the k x 2k one exact for that degree.
-    k_plain = _exact_size(2 * 12)
-    plain = hessenberg(GegenbauerBasis(0.0, P21), 12, strategy="quadrature",
-                       n_radial=k_plain, n_angular=2 * k_plain)
+    # adds 2: each rule is the one exact for that degree.
+    plain_rule = _exact_rule(area_measure(P21, 0.0), 2 * 12)
+    plain = hessenberg(GegenbauerBasis(0.0, P21), 12, strategy="quadrature", rule=plain_rule)
     d_plain = bandwidth(plain, 1e-10)
 
-    k_charged = _exact_size(2 * 9 + 2)
-
-    def charged(basis):
-        return hessenberg(basis, 9, n_radial=k_charged, n_angular=2 * k_charged)
-
+    rule21 = _exact_rule(area_measure(P21, 0.0), 2 * 9 + 2)   # for v = 1.5 and 1.6
     basis = ChristoffelBasis(0.0, P21, 1.5 + 0j)
-    H = charged(basis)
+    H = hessenberg(basis, 9, rule=rule21)
     col_max = {}
     for n in range(4, 9):
         col_max[n] = float(np.max(np.abs(H.entries[: n - 1, n])))
@@ -299,14 +271,14 @@ def check_multiplication_matrix() -> CheckResult:
     for b in (0.5, 0.1, 0.02):
         pb = make_params(2.0, b)
         bb = ChristoffelBasis(0.0, pb, 1.5 + 0j)
-        Hb = charged(bb)
+        Hb = hessenberg(bb, 9, rule=_exact_rule(area_measure(pb, 0.0), 2 * 9 + 2))
         mass = max(float(np.max(np.abs(Hb.entries[: n - 1, n])))
                    for n in range(2, 9))
         decay.append(mass)
     decay_ok = all(m2 < m1 for m1, m2 in zip(decay, decay[1:]))
 
     basis16 = ChristoffelBasis(0.0, P21, 1.6 + 0j)
-    H16 = charged(basis16)
+    H16 = hessenberg(basis16, 9, rule=rule21)
     alt_n4 = float(np.max(np.abs(H16.entries[:3, 4])))
 
     d_chris = bandwidth(H, 1e-8)
@@ -336,8 +308,8 @@ def check_multiplication_matrix() -> CheckResult:
                  "closed_vs_quadrature": worst_closed,
                  "decay_b_sweep": decay,
                  "v16_column4_max": alt_n4,
-                 "rule_nodes": {"plain": _rule_nodes(k_plain),
-                                "christoffel": _rule_nodes(k_charged)}})
+                 "rule_nodes": {"plain": list(plain_rule.shape),
+                                "christoffel": list(rule21.shape)}})
 
 
 def check_turan_determinant() -> CheckResult:

@@ -131,6 +131,16 @@ def test_hessenberg_gegenbauer_strategies_agree(p21):
     assert bandwidth(Hc, 1e-12) == 2
 
 
+def test_hessenberg_rejects_a_rule_for_another_measure(p21):
+    rule = build_rule(area_measure(p21, 0.5), 8, 16)
+    assert hessenberg(GegenbauerBasis(0.5, p21), 5, strategy="quadrature",
+                      rule=rule).entries.shape == (6, 5)
+    with pytest.raises(ValueError, match="different measure"):
+        hessenberg(GegenbauerBasis(0.0, p21), 5, strategy="quadrature", rule=rule)
+    with pytest.raises(ValueError, match="different measure"):
+        hessenberg(ChristoffelBasis(1.0, p21, 1.5 + 0j), 5, rule=rule)
+
+
 def test_hessenberg_rejects_closed_christoffel(p21):
     basis = ChristoffelBasis(0.0, p21, 1.0 + 0j)
     with pytest.raises(ValueError):

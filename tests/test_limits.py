@@ -18,7 +18,7 @@ from ellipoly import (
     realline_constant,
     realline_limit,
 )
-from ellipoly.limits import _planar_entries, _rule_size
+from ellipoly.limits import _degree, _planar_entries
 
 
 def test_hermite_diagonal_target_hand_value(p21):
@@ -133,6 +133,26 @@ def test_hermite_high_degree_raises_only_out_of_range(p21):
         hermite_limit(p21, 200, 200, (10.0, 100.0, 1000.0))
 
 
+@pytest.mark.parametrize("alpha", [0.0, 2.0])
+def test_disc_reference_on_the_unit_disc_area_rule(alpha):
+    """The area rule on the unit disc gives the diagonal n! a^{2n}/(2+alpha)_n."""
+    for a in (1.0, 1.7):
+        for n in range(11):
+            want = math.factorial(n) * a ** (2 * n) / math.prod(
+                2.0 + alpha + j for j in range(n))
+            assert abs(disc_reference(a, alpha, n, n) - want) <= 1e-13 * want, (a, n)
+
+
+def test_disc_reference_at_large_alpha_and_degree_is_quiet():
+    """At alpha = 1000 and degree 500 some radial node sums leave the double
+    range; the rule drops them without a warning and keeps the moment."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = disc_reference(1.0, 1000.0, 250, 250)
+    want = math.exp(math.lgamma(251) + math.lgamma(1002) - math.lgamma(1252))
+    assert abs(got - want) <= 1e-11 * want
+
+
 @pytest.mark.parametrize("alpha", [1100.0, 1e4])
 @pytest.mark.parametrize("a", [1.0, 1.5])
 def test_disc_reference_past_the_old_alpha_ceiling(a, alpha):
@@ -177,7 +197,7 @@ def test_planar_entry_is_the_closed_norm(p, alpha):
     for n in range(7):
         for m in range(7):
             want = h[n] if n == m else 0.0
-            got = _planar_entries(p, alpha, [(n, m)], _rule_size([(n, m)]))[0]
+            got = _planar_entries(p, alpha, [(n, m)], _degree([(n, m)]))[1][0]
             assert abs(got - want) <= 5e-12 * math.sqrt(h[n] * h[m]), (n, m)
 
 

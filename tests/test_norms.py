@@ -229,9 +229,9 @@ def test_gram_matrix_records_rule_and_errors(p21):
     from ellipoly import derived_params
 
     d = derived_params(p21)
-    g = gram_matrix(fam, canonical_measure(fam, d), 6, n_radial=48,
-                    n_angular=128)
-    assert g.n_radial == 48 and g.n_angular == 128
+    rule = build_rule(canonical_measure(fam, d), n_radial=48, n_angular=128)
+    g = gram_matrix(fam, canonical_measure(fam, d), 6, rule=rule)
+    assert rule.shape == (48, 128)
     assert g.matrix.shape == (7, 7)
     assert g.max_diag_error < 1e-10
     assert len(g.diag_relative_errors) == 7
@@ -260,7 +260,7 @@ def test_quadrature_hessenberg_matches_einsum_reference(p21):
     ref = np.einsum("k,lk,nk->ln", rule.weights, P.conj(),
                     rule.nodes[None, :] * P[:nmax])
     H = hessenberg(GegenbauerBasis(alpha, p21), nmax, strategy="quadrature",
-                   n_radial=12, n_angular=32).entries
+                   rule=rule).entries
     assert H.shape == (nmax + 1, nmax)
     assert np.max(np.abs(H - ref)) <= 1e-14 * np.max(np.abs(ref))
 

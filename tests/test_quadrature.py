@@ -1,6 +1,8 @@
 """Quadrature rules: masses, exactness, parity, and the contour identity."""
 
+import dataclasses
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -25,7 +27,7 @@ from ellipoly import (
     moment_table,
     weight_density,
 )
-from ellipoly.quadrature import _contour_values, _exact_size, _gauss_jacobi
+from ellipoly.quadrature import _contour_values, _exact_rule, _exact_size, _gauss_jacobi
 
 
 @pytest.mark.parametrize("alpha", [-0.9, 0.0, 1.0, 4.0])
@@ -224,6 +226,43 @@ def test_gauss_jacobi_exact_past_scipy_range(k, a):
     for j in range(2 * k):
         want = mp.beta(j + 1, a + 1) / mp.beta(1, a + 1)
         assert abs(math.fsum(w * t ** j) / want - 1) <= 1e-13, j
+
+
+def test_gauss_jacobi_weights_stay_finite_at_large_alpha_and_k():
+    """Nodes whose polynomial sum leaves the double range get weight 0
+    (their true weight is below 1/DBL_MAX), without a numpy warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        t, w = _gauss_jacobi(400, 1e4, 0.0)
+    assert np.all(np.isfinite(w)) and np.all(w >= 0.0)
+    assert math.fsum(w) == pytest.approx(1.0, abs=1e-13)
+
+
+def test_rule_records_its_shape(p21):
+    rule = build_rule(area_measure(p21, 0.5), 9, 18)
+    assert rule.shape == (9, 18)
+    scaled = dataclasses.replace(rule, weights=2.0 * rule.weights)
+    assert scaled.shape == (9, 18)
+
+
+@pytest.mark.parametrize("measure, degree, shape", [
+    (lambda p: area_measure(p, 0.0), 32, (17, 34)),
+    (lambda p: area_measure(p, -0.5), 24, (13, 26)),
+    (lambda p: area_measure(p, 1.0), 40, (21, 42)),
+    (lambda p: area_measure(p, 0.0), 20, (11, 22)),
+    (lambda p: b_minus_measure(derived_params(p), 1.5), 20, (21, 42)),
+    (lambda p: b_plus_measure(derived_params(p), 1.5), 20, (22, 44)),
+    (chebyshev_t_measure, 24, (13, 26)),
+    (flat_measure, 24, (13, 26)),
+    (chebyshev_v_measure, 24, (25, 50)),
+    (chebyshev_w_measure, 24, (25, 50)),
+], ids=["gram", "legendre", "moments", "charged", "b_minus", "b_plus",
+        "chebyshev_t", "chebyshev_u", "chebyshev_v", "chebyshev_w"])
+def test_exact_rule_sizes_are_the_battery_sizes(p21, measure, degree, shape):
+    """The shapes the verify battery records, from the degree of each check's
+    integrands: 2 nmax for the Gram and plain Hessenberg entries, 2 pmax for
+    the moments, 2 nmax + 2 under the charge."""
+    assert _exact_rule(measure(p21), degree).shape == shape
 
 
 def test_contour_exact_at_its_degree_sized_rule():

@@ -87,18 +87,20 @@ def test_sized_gram_rule_matches_double_size(name):
     check, params, nmax, families = GRAM_CASES[name]
     sizes = check().metrics["rule_nodes"]
     for fam in families:
-        res = _sized_gram(fam, params, nmax)
+        res, shape = _sized_gram(fam, params, nmax)
         k, angular = sizes[res.measure.kind.value]
-        assert (res.n_radial, res.n_angular) == (k, angular)
-        big = gram_matrix(fam, res.measure, nmax, n_radial=2 * k, n_angular=2 * angular)
+        assert shape == (k, angular)
+        big = gram_matrix(fam, res.measure, nmax,
+                          rule=build_rule(res.measure, n_radial=2 * k, n_angular=2 * angular))
         assert _scaled_gap(res.matrix, big.matrix) <= ROUNDOFF, fam
 
 
 def test_chebyshev_t_size_is_the_smallest_converged():
     """One size smaller and the 2k angles alias the order-24 harmonic."""
-    res = _sized_gram(chebyshev_t(), P21, 12)
-    k = res.n_radial - 1
-    small = gram_matrix(chebyshev_t(), res.measure, 12, n_radial=k, n_angular=2 * k)
+    res, shape = _sized_gram(chebyshev_t(), P21, 12)
+    k = shape[0] - 1
+    small = gram_matrix(chebyshev_t(), res.measure, 12,
+                        rule=build_rule(res.measure, n_radial=k, n_angular=2 * k))
     assert _scaled_gap(small.matrix, res.matrix) > 1e-6
 
 
@@ -118,9 +120,11 @@ def test_hessenberg_rules_match_double_size():
               for p, v in ((P21, 1.5), (P21, 1.6), (make_params(2.0, 0.5), 1.5),
                            (make_params(2.0, 0.1), 1.5), (make_params(2.0, 0.02), 1.5))]
     for basis, nmax, (k, angular) in cases:
-        H = hessenberg(basis, nmax, strategy="quadrature", n_radial=k, n_angular=angular)
-        big = hessenberg(basis, nmax, strategy="quadrature", n_radial=2 * k,
-                         n_angular=2 * angular)
+        measure = area_measure(basis.params, basis.alpha)
+        H = hessenberg(basis, nmax, strategy="quadrature",
+                       rule=build_rule(measure, n_radial=k, n_angular=angular))
+        big = hessenberg(basis, nmax, strategy="quadrature",
+                         rule=build_rule(measure, n_radial=2 * k, n_angular=2 * angular))
         scale = np.max(np.abs(big.entries))
         assert np.max(np.abs(H.entries - big.entries)) <= ROUNDOFF * scale, basis
 
@@ -129,9 +133,12 @@ def test_shared_limit_rules_match_double_size():
     for p, alpha, nmax, k in ((P21, 1000.0, 3, 4), (make_params(1.0, 0.999), 2.0, 3, 4),
                               (make_params(2.0, 0.03), 0.0, 4, 5)):
         entries = [(n, m) for n in range(nmax + 1) for m in range(nmax + 1)]
-        got = np.array(_planar_entries(p, alpha, entries, k)).reshape(nmax + 1, nmax + 1)
-        big = np.array(_planar_entries(p, alpha, entries, 2 * k)).reshape(nmax + 1, nmax + 1)
-        assert _scaled_gap(got, big) <= ROUNDOFF
+        shape, got = _planar_entries(p, alpha, entries, 2 * nmax)
+        # degree 4 nmax + 2 is the first that _exact_rule sizes at 2k x 4k
+        big_shape, big = _planar_entries(p, alpha, entries, 4 * nmax + 2)
+        assert (shape, big_shape) == ((k, 2 * k), (2 * k, 4 * k))
+        assert _scaled_gap(got.reshape(nmax + 1, nmax + 1),
+                           big.reshape(nmax + 1, nmax + 1)) <= ROUNDOFF
 
 
 def test_shared_limit_rules_are_the_single_entry_reports():
