@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import EllipseParams, area_measure
-from .norms import monic_factor, monic_norm
+from .norms import _arnoldi, monic_factor, monic_norm
 from .polynomials import _gegenbauer_norms, _recurrence_table, gegenbauer_matrix, lnpoch
-from .quadrature import QuadratureRule, build_rule
+from .quadrature import _exact_rule
 from .selberg import _ensemble_weights
 
 __all__ = [
@@ -182,27 +182,28 @@ class HessenbergMatrix:
 
     Dense storage: entries has shape (nmax+1, nmax), column n holding
     c_{l,n} for l = 0..nmax; entries with l > n+1 vanish structurally
-    (multiplication raises degree by one).
+    (multiplication raises degree by one).  rule_shape is the
+    QuadratureRule.shape the quadrature path ran on, None for 'closed'.
     """
 
     basis_label: str
     nmax: int
     entries: np.ndarray
     strategy: str
+    rule_shape: tuple[int, int] | None = None
 
     def column_norms(self) -> np.ndarray:
         return np.sqrt(np.sum(np.abs(self.entries) ** 2, axis=0))
 
 
-def hessenberg(basis, nmax: int, strategy: str = "auto",
-               rule: QuadratureRule | None = None) -> HessenbergMatrix:
+def hessenberg(basis, nmax: int, strategy: str = "auto") -> HessenbergMatrix:
     """Hessenberg matrix of multiplication by z in the given orthonormal basis.
 
     For the plain Gegenbauer basis the closed three-term coefficients are
-    used ('closed', the default); 'quadrature' recomputes every entry from
-    the Gram integrals.  The Christoffel basis always uses quadrature under
-    the charged weight |v - z|^2 dA_alpha.  Quadrature runs on a rule for
-    the uncharged area_measure(basis.params, basis.alpha), by default its build_rule.
+    used ('closed', the default); 'quadrature' runs Arnoldi on the area rule
+    exact for the entries' degree 2 nmax.  The Christoffel basis always uses
+    quadrature, under the charged weight |v - z|^2 dA_alpha on the rule
+    exact for degree 2 nmax + 2.
     """
     if nmax < 1:
         raise ValueError("nmax must be at least 1")
@@ -225,24 +226,12 @@ def hessenberg(basis, nmax: int, strategy: str = "auto",
     else:
         raise TypeError(f"unsupported basis {type(basis).__name__}")
 
-    measure = area_measure(basis.params, basis.alpha)
-    if rule is None:
-        rule = build_rule(measure)
-    elif rule.measure != measure:
-        raise ValueError("rule was built for a different measure")
-    nodes, weights = rule.nodes, rule.weights
-    del rule  # lets the charged weights below release the plain ones
-    if isinstance(basis, ChristoffelBasis):
-        weights = weights * np.abs(basis.v - nodes) ** 2
-        P = christoffel_values(basis, nmax, nodes)
-    else:
-        P = orthonormal_values(basis.alpha, basis.params, nmax, nodes)
-    zP = nodes[None, :] * P[:nmax]
-    np.conjugate(P, out=P)
-    P *= weights
-    entries = P @ zP.T
-    return HessenbergMatrix(basis_label=label, nmax=nmax, entries=entries,
-                            strategy="quadrature")
+    charged = isinstance(basis, ChristoffelBasis)
+    rule = _exact_rule(area_measure(basis.params, basis.alpha), 2 * nmax + 2 * charged)
+    weights = rule.weights * np.abs(basis.v - rule.nodes) ** 2 if charged else rule.weights
+    return HessenbergMatrix(basis_label=label, nmax=nmax,
+                            entries=_arnoldi(rule.nodes, weights, nmax),
+                            strategy="quadrature", rule_shape=rule.shape)
 
 
 def bandwidth(H: HessenbergMatrix, tol: float) -> int:

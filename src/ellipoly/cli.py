@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from ._serialize import dumps, to_jsonable, write_csv
 from .bergman import ChristoffelBasis, GegenbauerBasis, bandwidth, hessenberg
-from .geometry import area_measure, derived_params, make_params
+from .geometry import derived_params, make_params
 from .limits import disc_limit, hermite_limit, realline_limit
 from .norms import _closed_norms, canonical_measure, gram_matrix
 from .polynomials import (
@@ -77,12 +77,12 @@ def _family(name: str, alpha: float | None) -> PolynomialFamily:
     return make(alpha) if needs_alpha else make()
 
 
-def _meta(args, p=None, rule=None, convention: str | None = None) -> dict:
+def _meta(args, p=None, rule_shape=None, convention: str | None = None) -> dict:
     meta = {"version": __version__}
     if p is not None:
         meta["params"] = to_jsonable(p)
-    if rule is not None:
-        meta["rule"] = dict(zip(("n_radial", "n_angular"), rule.shape))
+    if rule_shape is not None:
+        meta["rule"] = dict(zip(("n_radial", "n_angular"), rule_shape))
     if convention is not None:
         meta["convention"] = convention
     return meta
@@ -127,7 +127,7 @@ def _cmd_gram(args) -> int:
     res = gram_matrix(fam, measure, args.nmax, rule=rule)
     convention = "normalized" if measure.normalized else "flat"
     payload = {
-        "meta": _meta(args, p, rule=rule, convention=convention),
+        "meta": _meta(args, p, rule.shape, convention=convention),
         "data": {
             "family": args.family,
             "alpha": args.alpha,
@@ -173,14 +173,10 @@ def _cmd_hessenberg(args) -> int:
         basis = GegenbauerBasis(args.alpha, p)
     else:
         basis = ChristoffelBasis(args.alpha, p, complex(args.v_re, args.v_im))
-    rule = None
-    if (args.strategy == "quadrature"
-            or args.strategy == "auto" and args.basis == "christoffel"):
-        rule = build_rule(area_measure(p, args.alpha), args.n_radial, args.n_angular)
-    H = hessenberg(basis, args.nmax, strategy=args.strategy, rule=rule)
+    H = hessenberg(basis, args.nmax, strategy=args.strategy)
     d = bandwidth(H, args.tol)
     payload = {
-        "meta": _meta(args, p, rule=rule, convention="normalized"),
+        "meta": _meta(args, p, H.rule_shape, convention="normalized"),
         "data": {"basis": H.basis_label, "nmax": H.nmax,
                  "strategy": H.strategy, "entries": H.entries,
                  "bandwidth": d, "bandwidth_tol": args.tol},
@@ -278,11 +274,6 @@ def _add_geometry(sp, a_default=2.0, b_default=1.0):
                     help="semi-minor axis (default %(default)s)")
 
 
-def _add_rule(sp):
-    sp.add_argument("--n-radial", type=int, default=DEFAULT_N_RADIAL)
-    sp.add_argument("--n-angular", type=int, default=DEFAULT_N_ANGULAR)
-
-
 def _add_output(sp):
     sp.add_argument("--output", help="write to this path instead of stdout "
                     "(relative paths resolve under $ELLIPOLY_OUTPUT_DIR)")
@@ -314,7 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--derived", action="store_true",
                     help="use the derived ellipse of (--a, --b)")
     _add_geometry(sp)
-    _add_rule(sp)
+    sp.add_argument("--n-radial", type=int, default=DEFAULT_N_RADIAL)
+    sp.add_argument("--n-angular", type=int, default=DEFAULT_N_ANGULAR)
     _add_output(sp)
     sp.set_defaults(func=_cmd_gram)
 
@@ -345,7 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--tol", type=float, default=1e-8,
                     help="bandwidth detection tolerance")
     _add_geometry(sp)
-    _add_rule(sp)
     _add_output(sp)
     sp.set_defaults(func=_cmd_hessenberg)
 

@@ -195,20 +195,21 @@ def _hermite_reports(p: EllipseParams, entries, alpha_sequence) -> list[LimitRep
 
 def _disc_moments(a: float, alpha: float, entries, degree: int) -> list[complex]:
     """disc_reference for each (n, m) listed, on the k x 2k area rule of the
-    unit disc exact for degree (every n + m <= degree)."""
+    unit disc exact for degree (every n + m <= degree); 0 off the diagonal."""
     k = _exact_size(degree)
     z, w = _area_rule(1.0, 1.0, alpha, k, 2 * k)
     return [complex(_times_exp(np.sum(w * z ** n * np.conj(z) ** m),
                                (n + m) * math.log(a), "disc_reference value"))
-            for n, m in entries]
+            if n == m else 0j for n, m in entries]
 
 
 def disc_reference(a: float, alpha: float, n: int, m: int) -> complex:
     """<z^n, z^m> on the disc |z| < a under (1+alpha)(1-|z/a|^2)^alpha dA,
     by the area rule on the unit disc (k-node Gauss-Jacobi radially, 2k-point
     trapezoid in angle, exact for degree n + m), scaled by a^{n+m} in logs.
-    The closed diagonal is n! a^{2n} / (2+alpha)_n.  Raises ValueError when
-    the value leaves the double range.
+    The closed diagonal is n! a^{2n} / (2+alpha)_n; off the diagonal the
+    moment is exactly 0 by rotation invariance.  Raises ValueError when the
+    value leaves the double range.
     """
     return _disc_moments(a, alpha, [(n, m)], _degree([(n, m)]))[0]
 

@@ -199,38 +199,54 @@ def gram_matrix(family: PolynomialFamily, measure: Measure, nmax: int,
                       diag_relative_errors=rel)
 
 
-def gram_schmidt(measure: Measure, nmax: int,
-                 rule: QuadratureRule | None = None) -> list[np.ndarray]:
-    """Orthonormal polynomials under the rule, by Arnoldi on its nodes (the
-    discretized Stieltjes procedure).
-
-    Returns coefficient vectors: entry n holds the coefficients of
-    z^0 .. z^n of p_n, with real positive leading coefficient, and
-    <p_n, p_m> = delta under the rule's weights, custom rules such as a
-    charged weight included.  Step n orthogonalizes z p_{n-1} against
-    p_0 .. p_{n-1} on the nodes, with one reorthogonalization pass, and
-    applies the same steps to the monomial coefficients.  A new vector whose
-    norm falls below 1e-12 of its norm before orthogonalization raises
+def _arnoldi(z: np.ndarray, w: np.ndarray, nmax: int) -> np.ndarray:
+    """Hessenberg matrix of multiplication by z in the basis orthonormal under
+    the weights w on the nodes z, by Arnoldi (the discretized Stieltjes
+    procedure): z p_{n-1} = sum_{l<=n} H[l, n-1] p_l, with p_0 = 1/sqrt(mass)
+    and H[n, n-1] > 0.  H has shape (nmax+1, nmax) and exact zeros below the
+    subdiagonal.  Step n orthogonalizes z p_{n-1} against p_0 .. p_{n-1} on
+    the nodes, with one reorthogonalization pass; a new vector whose norm
+    falls below 1e-12 of its norm before orthogonalization raises
     LinAlgError naming the degree.
     """
-    if rule is None:
-        rule = build_rule(measure)
-    z, w = rule.nodes, rule.weights
     Q = np.zeros((nmax + 1, z.size), dtype=complex)
-    C = np.zeros((nmax + 1, nmax + 1), dtype=complex)
-    v, c = np.ones(z.size, dtype=complex), np.eye(1, nmax + 1)[0]
+    G = np.zeros((nmax + 1, nmax + 1), dtype=complex)   # column n: step n's <v, p_k> and norm
+    v = np.ones(z.size, dtype=complex)
     for n in range(nmax + 1):
         if n:
-            v, c = z * Q[n - 1], np.roll(C[n - 1], 1)
+            v = z * Q[n - 1]
         before = math.sqrt(w @ np.abs(v) ** 2)
         for _ in range(2):
             h = np.conj(Q[:n] @ np.conj(w * v))    # h_k = <v, p_k>
             v = v - h @ Q[:n]
-            c = c - h @ C[:n]
+            G[:n, n] += h
         nrm = math.sqrt(w @ np.abs(v) ** 2)
         if not nrm > 1e-12 * before:
             raise np.linalg.LinAlgError(f"rule is numerically rank-deficient at degree {n}")
-        Q[n], C[n] = v / nrm, c / nrm
+        G[n, n], Q[n] = nrm, v / nrm
+    return G[:, 1:]
+
+
+def gram_schmidt(measure: Measure, nmax: int,
+                 rule: QuadratureRule | None = None) -> list[np.ndarray]:
+    """Orthonormal polynomials under the rule (default: build_rule(measure)),
+    read from the Hessenberg matrix of _arnoldi on its nodes.
+
+    Returns coefficient vectors: entry n holds the coefficients of
+    z^0 .. z^n of p_n, with real positive leading coefficient, and
+    <p_n, p_m> = delta under the rule's weights, custom rules such as a
+    charged weight (dataclasses.replace of the measure's rule) included.
+    A rule built for another measure raises ValueError.
+    """
+    if rule is None:
+        rule = build_rule(measure)
+    elif rule.measure != measure:
+        raise ValueError("rule was built for a different measure")
+    H = _arnoldi(rule.nodes, rule.weights, nmax)
+    C = np.zeros((nmax + 1, nmax + 1), dtype=complex)
+    C[0, 0] = 1.0 / math.sqrt(rule.weights.sum())
+    for n in range(1, nmax + 1):
+        C[n] = (np.roll(C[n - 1], 1) - H[:n, n - 1] @ C[:n]) / H[n, n - 1]
     return [C[n, : n + 1] for n in range(nmax + 1)]
 
 

@@ -246,15 +246,11 @@ def check_multiplication_matrix() -> CheckResult:
     below-band entry of column 4 carries that value as a factor.  Moving the
     charge to v = 1.6 restores the clause, which is recorded in the metrics.
     """
-    # Entries <z p_n, p_l> have degree 2 nmax in z, and the charge |v - z|^2
-    # adds 2: each rule is the one exact for that degree.
-    plain_rule = _exact_rule(area_measure(P21, 0.0), 2 * 12)
-    plain = hessenberg(GegenbauerBasis(0.0, P21), 12, strategy="quadrature", rule=plain_rule)
+    plain = hessenberg(GegenbauerBasis(0.0, P21), 12, strategy="quadrature")
     d_plain = bandwidth(plain, 1e-10)
 
-    rule21 = _exact_rule(area_measure(P21, 0.0), 2 * 9 + 2)   # for v = 1.5 and 1.6
     basis = ChristoffelBasis(0.0, P21, 1.5 + 0j)
-    H = hessenberg(basis, 9, rule=rule21)
+    H = hessenberg(basis, 9)
     col_max = {}
     for n in range(4, 9):
         col_max[n] = float(np.max(np.abs(H.entries[: n - 1, n])))
@@ -271,14 +267,14 @@ def check_multiplication_matrix() -> CheckResult:
     for b in (0.5, 0.1, 0.02):
         pb = make_params(2.0, b)
         bb = ChristoffelBasis(0.0, pb, 1.5 + 0j)
-        Hb = hessenberg(bb, 9, rule=_exact_rule(area_measure(pb, 0.0), 2 * 9 + 2))
+        Hb = hessenberg(bb, 9)
         mass = max(float(np.max(np.abs(Hb.entries[: n - 1, n])))
                    for n in range(2, 9))
         decay.append(mass)
     decay_ok = all(m2 < m1 for m1, m2 in zip(decay, decay[1:]))
 
     basis16 = ChristoffelBasis(0.0, P21, 1.6 + 0j)
-    H16 = hessenberg(basis16, 9, rule=rule21)
+    H16 = hessenberg(basis16, 9)
     alt_n4 = float(np.max(np.abs(H16.entries[:3, 4])))
 
     d_chris = bandwidth(H, 1e-8)
@@ -308,8 +304,8 @@ def check_multiplication_matrix() -> CheckResult:
                  "closed_vs_quadrature": worst_closed,
                  "decay_b_sweep": decay,
                  "v16_column4_max": alt_n4,
-                 "rule_nodes": {"plain": list(plain_rule.shape),
-                                "christoffel": list(rule21.shape)}})
+                 "rule_nodes": {"plain": list(plain.rule_shape),
+                                "christoffel": list(H.rule_shape)}})
 
 
 def check_turan_determinant() -> CheckResult:

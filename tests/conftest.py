@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ellipoly import make_params
+from ellipoly import ChristoffelBasis, christoffel_values, make_params, orthonormal_values
 
 # test_acceptance.py registers one (passed, detail) entry per criterion here;
 # the terminal-summary hook prints them as a block after the run so the
@@ -29,6 +29,20 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         passed, detail = CRITERION_LINES[k]
         status = "PASS" if passed else "FAIL"
         terminalreporter.write_line(f"CRITERION {k:2d}: {status} -- {detail}")
+
+
+def einsum_hessenberg(basis, nmax, rule):
+    """Reference for hessenberg's Arnoldi matrix: <z p_n, p_l> by an einsum
+    over the basis values on the rule, the closed values for a
+    GegenbauerBasis and the kernel formula (christoffel_values) under the
+    charged weight |v - z|^2 for a ChristoffelBasis."""
+    w = rule.weights
+    if isinstance(basis, ChristoffelBasis):
+        w = w * np.abs(basis.v - rule.nodes) ** 2
+        P = christoffel_values(basis, nmax, rule.nodes)
+    else:
+        P = orthonormal_values(basis.alpha, basis.params, nmax, rule.nodes)
+    return np.einsum("k,lk,nk->ln", w, P.conj(), rule.nodes[None, :] * P[:nmax])
 
 
 @pytest.fixture(scope="session")

@@ -131,14 +131,19 @@ def test_hessenberg_gegenbauer_strategies_agree(p21):
     assert bandwidth(Hc, 1e-12) == 2
 
 
-def test_hessenberg_rejects_a_rule_for_another_measure(p21):
-    rule = build_rule(area_measure(p21, 0.5), 8, 16)
-    assert hessenberg(GegenbauerBasis(0.5, p21), 5, strategy="quadrature",
-                      rule=rule).entries.shape == (6, 5)
-    with pytest.raises(ValueError, match="different measure"):
-        hessenberg(GegenbauerBasis(0.0, p21), 5, strategy="quadrature", rule=rule)
-    with pytest.raises(ValueError, match="different measure"):
-        hessenberg(ChristoffelBasis(1.0, p21, 1.5 + 0j), 5, rule=rule)
+@pytest.mark.parametrize("nmax", [1, 9, 24])
+def test_quadrature_hessenberg_runs_on_its_exact_rule(p21, nmax):
+    """Arnoldi leaves exact zeros below the subdiagonal, and each path records
+    the rule it ran on: exact for degree 2 nmax, plus 2 for the charge."""
+    basis = GegenbauerBasis(0.5, p21)
+    plain = hessenberg(basis, nmax, strategy="quadrature")
+    charged = hessenberg(ChristoffelBasis(0.5, p21, 1.5 + 0j), nmax)
+    assert plain.rule_shape == (nmax + 1, 2 * nmax + 2)
+    assert charged.rule_shape == (nmax + 2, 2 * nmax + 4)
+    assert hessenberg(basis, nmax).rule_shape is None
+    l, n = np.indices(plain.entries.shape)
+    for H in (plain, charged):
+        assert np.all(H.entries[l > n + 1] == 0)
 
 
 def test_hessenberg_rejects_closed_christoffel(p21):

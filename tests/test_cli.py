@@ -135,6 +135,15 @@ def test_hessenberg_bandwidth():
     assert doc["bandwidth"] == 2
 
 
+def test_hessenberg_meta_records_the_rule_it_ran_on():
+    """The charged basis runs on the rule exact for degree 2 nmax + 2; the
+    closed path builds none."""
+    p = run_cli("hessenberg", "--basis", "christoffel")
+    assert json.loads(p.stdout)["meta"]["rule"] == {"n_radial": 12, "n_angular": 24}
+    p = run_cli("hessenberg", "--strategy", "closed")
+    assert "rule" not in json.loads(p.stdout)["meta"]
+
+
 def test_limits_csv_rows_decrease(tmp_path):
     out = tmp_path / "lim.csv"
     p = run_cli("limits", "--regime", "realline", "--n", "2", "--m", "2",
@@ -210,9 +219,9 @@ def test_invalid_input_exits_one_with_message(args):
     assert "Traceback" not in p.stderr
 
 
-@pytest.mark.parametrize("command", ["limits", "selberg"])
+@pytest.mark.parametrize("command", ["limits", "selberg", "hessenberg"])
 def test_degree_sized_commands_take_no_rule_flags(command):
-    """limits and selberg size their rules from the degree."""
+    """limits, selberg and hessenberg size their rules from the degree."""
     p = run_cli(command, "-h")
     assert p.returncode == 0
     assert "--n-radial" not in p.stdout and "--n-angular" not in p.stdout

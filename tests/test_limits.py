@@ -58,6 +58,9 @@ def test_disc_reference_matches_beta_moment():
             assert got.real == pytest.approx(expect, rel=1e-12)
             assert abs(got.imag) < 1e-15
     assert abs(disc_reference(1.0, 0.0, 2, 0)) < 1e-15
+    # exact by rotation invariance, not roundoff scaled up by a^(n+m)
+    assert disc_reference(10.0, 0.0, 12, 2) == 0
+    assert disc_reference(1000.0, 0.0, 60, 58) == 0
 
 
 def test_disc_limit_converges(p21_unused=None):

@@ -40,6 +40,9 @@ from ellipoly import (
 )
 from ellipoly.norms import _closed_norms, _norm_table
 from ellipoly.polynomials import CoefficientVector, family_matrix
+from ellipoly.quadrature import _exact_rule
+
+from conftest import einsum_hessenberg
 
 
 def test_gegenbauer_norm_anchor(p21):
@@ -149,6 +152,15 @@ def test_gram_schmidt_rank_deficiency_raises(p21):
         gram_schmidt(area_measure(p21, 0.0), 40, rule=rule)
 
 
+def test_gram_schmidt_rejects_a_rule_for_another_measure(p21):
+    """A rule for alpha = 1 would silently give the alpha = 1 basis; a charged
+    rule made by dataclasses.replace keeps its measure and is accepted."""
+    rule = build_rule(area_measure(p21, 1.0), 4, 8)
+    with pytest.raises(ValueError, match="different measure"):
+        gram_schmidt(area_measure(p21, 0.0), 3, rule=rule)
+    assert len(gram_schmidt(rule.measure, 3, rule=_charged(rule, 1.5))) == 4
+
+
 def _values(coeffs, z):
     """Rows of Horner values of gram_schmidt's coefficient vectors at z."""
     return np.array([eval_coeffs(CoefficientVector(alpha=None, n=len(c) - 1, coeffs=c), z)
@@ -205,13 +217,15 @@ def test_gram_schmidt_accuracy_at_high_degree(p21, alpha, nmax, tol):
 ])
 def test_gram_schmidt_reproduces_christoffel_hessenberg(p21, alpha, v):
     """P^H W (z P) from gram_schmidt under the charged rule against the
-    Christoffel-formula Hessenberg, every entry, including the diagonal and
-    superdiagonal that no closed form covers."""
-    rule = _charged(build_rule(area_measure(p21, alpha)), v)
+    Christoffel-formula values integrated on the same rule, every entry,
+    including the diagonal and superdiagonal that no closed form covers."""
+    plain = build_rule(area_measure(p21, alpha))
+    rule = _charged(plain, v)
     P = _values(gram_schmidt(rule.measure, 9, rule=rule), rule.nodes)
     entries = (P.conj() * rule.weights) @ (rule.nodes * P[:9]).T
-    H = hessenberg(ChristoffelBasis(alpha, p21, v), 9)
-    assert np.max(np.abs(entries - H.entries) / H.column_norms()) < 1e-11
+    ref = einsum_hessenberg(ChristoffelBasis(alpha, p21, v), 9, plain)
+    cols = np.sqrt(np.sum(np.abs(ref) ** 2, axis=0))
+    assert np.max(np.abs(entries - ref) / cols) < 1e-11
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=15)
@@ -254,15 +268,15 @@ def test_gram_matrix_matches_einsum_reference(p21):
 
 
 def test_quadrature_hessenberg_matches_einsum_reference(p21):
+    """hessenberg's Arnoldi matrix against the closed and the kernel-formula
+    bases integrated on the same exact rule."""
     alpha, nmax = 0.4, 9
-    rule = build_rule(area_measure(p21, alpha), n_radial=12, n_angular=32)
-    P = orthonormal_values(alpha, p21, nmax, rule.nodes)
-    ref = np.einsum("k,lk,nk->ln", rule.weights, P.conj(),
-                    rule.nodes[None, :] * P[:nmax])
-    H = hessenberg(GegenbauerBasis(alpha, p21), nmax, strategy="quadrature",
-                   rule=rule).entries
-    assert H.shape == (nmax + 1, nmax)
-    assert np.max(np.abs(H - ref)) <= 1e-14 * np.max(np.abs(ref))
+    for basis, degree in ((GegenbauerBasis(alpha, p21), 2 * nmax),
+                          (ChristoffelBasis(alpha, p21, 0.9 + 0.4j), 2 * nmax + 2)):
+        ref = einsum_hessenberg(basis, nmax, _exact_rule(area_measure(p21, alpha), degree))
+        H = hessenberg(basis, nmax, strategy="quadrature").entries
+        assert H.shape == (nmax + 1, nmax)
+        assert np.max(np.abs(H - ref)) <= 1e-14 * np.max(np.abs(ref)), basis
 
 
 @pytest.mark.parametrize("alpha", [-0.5, 0.0, 0.7, 2.5])

@@ -45,6 +45,8 @@ from ellipoly.verification import (
     check_multiplication_matrix,
 )
 
+from conftest import einsum_hessenberg
+
 ROUNDOFF = 1e-13
 
 
@@ -120,13 +122,12 @@ def test_hessenberg_rules_match_double_size():
               for p, v in ((P21, 1.5), (P21, 1.6), (make_params(2.0, 0.5), 1.5),
                            (make_params(2.0, 0.1), 1.5), (make_params(2.0, 0.02), 1.5))]
     for basis, nmax, (k, angular) in cases:
-        measure = area_measure(basis.params, basis.alpha)
-        H = hessenberg(basis, nmax, strategy="quadrature",
-                       rule=build_rule(measure, n_radial=k, n_angular=angular))
-        big = hessenberg(basis, nmax, strategy="quadrature",
-                         rule=build_rule(measure, n_radial=2 * k, n_angular=2 * angular))
-        scale = np.max(np.abs(big.entries))
-        assert np.max(np.abs(H.entries - big.entries)) <= ROUNDOFF * scale, basis
+        H = hessenberg(basis, nmax, strategy="quadrature")
+        assert H.rule_shape == (k, angular)
+        big = einsum_hessenberg(basis, nmax, build_rule(area_measure(basis.params, basis.alpha),
+                                                        n_radial=2 * k, n_angular=2 * angular))
+        scale = np.max(np.abs(big))
+        assert np.max(np.abs(H.entries - big)) <= ROUNDOFF * scale, basis
 
 
 def test_shared_limit_rules_match_double_size():
