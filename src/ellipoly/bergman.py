@@ -5,17 +5,21 @@ recurrence (its multiplication matrix is banded); inserting a point charge
 |v - z|^2 into the weight produces the Christoffel-transformed basis, whose
 multiplication matrix has no finite band for b > 0.  The Turan determinant
 of the Gegenbauer family at x_star is the scalar obstruction behind this.
+
+Both the charged Hessenberg matrix and the charged values come from one
+shifted QR step of the closed plain Hessenberg matrix (_charge_qr).
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import EllipseParams, area_measure
+from .geometry import EllipseParams, _check_alpha, area_measure
 from .norms import _arnoldi, monic_factor, monic_norm
 from .polynomials import _gegenbauer_norms, _recurrence_table, gegenbauer_matrix, lnpoch
 from .quadrature import _exact_rule
@@ -46,8 +50,7 @@ class GegenbauerBasis:
     params: EllipseParams
 
     def __post_init__(self):
-        if not self.alpha > -1.0:
-            raise ValueError(f"alpha must exceed -1, got {self.alpha}")
+        _check_alpha(self.alpha)
 
 
 @dataclass(frozen=True)
@@ -63,8 +66,9 @@ class ChristoffelBasis:
     v: complex
 
     def __post_init__(self):
-        if not self.alpha > -1.0:
-            raise ValueError(f"alpha must exceed -1, got {self.alpha}")
+        _check_alpha(self.alpha)
+        if not cmath.isfinite(self.v):
+            raise ValueError(f"charge v must be finite, got {self.v}")
 
 
 def orthonormal_values(alpha: float, p: EllipseParams, nmax: int, z) -> np.ndarray:
@@ -77,18 +81,6 @@ def _orthonormal(alpha: float, p: EllipseParams, h: np.ndarray, z) -> np.ndarray
     zz = np.asarray(z, dtype=complex)
     C = gegenbauer_matrix(alpha, h.size - 1, zz / p.c)
     return C / np.sqrt(h).reshape(h.shape + (1,) * zz.ndim)
-
-
-def _orthonormal_derivatives(alpha: float, p: EllipseParams, nmax: int, z) -> np.ndarray:
-    """d/dz of the orthonormal basis, via C_n' = 2(1+alpha) C_{n-1}^{(2+alpha)}."""
-    zz = np.asarray(z, dtype=complex)
-    out = np.zeros((nmax + 1,) + zz.shape, dtype=complex)
-    if nmax >= 1:
-        Cup = gegenbauer_matrix(alpha + 1.0, nmax - 1, zz / p.c)
-        h = _gegenbauer_norms(alpha, p, nmax)
-        scale = 2.0 * (1.0 + alpha) / (p.c * np.sqrt(h[1:]))
-        out[1:] = scale.reshape((nmax,) + (1,) * zz.ndim) * Cup
-    return out
 
 
 def bergman_kernel(alpha: float, p: EllipseParams, N: int, z, w) -> complex:
@@ -114,46 +106,41 @@ def _charge_values(basis: ChristoffelBasis, through: int):
     return pv, kappa, h
 
 
+def _closed_entries(alpha: float, p: EllipseParams, nmax: int) -> np.ndarray:
+    """The plain basis's Hessenberg entries, shape (nmax+1, nmax), from its
+    three-term recurrence: a_{n+1} below the diagonal, b_n above it."""
+    a, b = _recurrence_table(alpha, p, nmax - 1)
+    n = np.arange(nmax)
+    entries = np.zeros((nmax + 1, nmax), dtype=complex)
+    entries[n + 1, n] = a
+    entries[n[:-1], n[1:]] = b[1:]
+    return entries
+
+
+def _charge_qr(basis: ChristoffelBasis, nmax: int):
+    """Q and R of H - vE with diag(R) > 0, where H is the closed plain Hessenberg
+    matrix through degree nmax + 1 and E the identity of its shape (nmax+2, nmax+1).
+
+    (z - v) p_n = sum_l (H - vE)[l, n] p_l, so the Gram matrix of p_0..p_nmax
+    under |v - z|^2 dA_alpha is R^H R: the charged orthonormal basis is p R^{-1},
+    and (z - v) times it is p Q.  On the real line this is one shifted QR step
+    of the Jacobi matrix (Kautsky & Golub 1983; Gautschi 2004, sec. 2.4).
+    """
+    H = _closed_entries(basis.alpha, basis.params, nmax + 1)
+    Q, R = np.linalg.qr(H - basis.v * np.eye(nmax + 2, nmax + 1))
+    d = np.diagonal(R) / np.abs(np.diagonal(R))
+    return Q * d, R * d.conj()[:, None]
+
+
 def christoffel_values(basis: ChristoffelBasis, nmax: int, z) -> np.ndarray:
     """Values of the Christoffel-transformed orthonormal family P(1)_0..P(1)_nmax.
 
-    P(1)_N(z) = [kappa_{N+1}(z, vbar) p_{N+1}(v) - kappa_{N+1}(v, vbar) p_{N+1}(z)]
-                / [(v - z) sqrt(kappa_{N+1} kappa_{N+2})],
-
-    with the removable singularity at z = v filled by the derivative form
-    whenever |z - v| < 1e-8.
+    With R from _charge_qr the family is p R^{-1}, so its values solve
+    R^T P(1)(z) = p(z): no division by v - z, and z = v is an ordinary point.
     """
-    alpha, p, v = basis.alpha, basis.params, basis.v
-    zz = np.asarray(z, dtype=complex)
-    scalar = zz.ndim == 0
-    zz = np.atleast_1d(zz)
-
-    pv, kv, _ = _charge_values(basis, nmax + 1)
-    Pz = orthonormal_values(alpha, p, nmax + 1, zz)
-    # Kz[i] = kappa_{i+1}(z, vbar) = sum_{j<=i} p_j(z) conj(p_j(v))
-    Kz = np.cumsum(Pz * pv.conj()[:, None], axis=0)
-
-    idx = np.arange(nmax + 1)
-    denom = (v - zz)[None, :] * np.sqrt(kv[idx + 1] * kv[idx + 2])[:, None]
-    numer = Kz[idx] * pv[idx + 1][:, None] - kv[idx + 1][:, None] * Pz[idx + 1]
-
-    near = np.abs(zz - v) < 1e-8
-    if np.any(near):
-        zn = zz[near]
-        Dn = _orthonormal_derivatives(alpha, p, nmax + 1, zn)
-        Kd = np.cumsum(Dn * pv.conj()[:, None], axis=0)
-        # limit of the quotient at z = v:
-        # [kappa_{N+1} p'_{N+1}(z) - kappa'_{N+1}(z, vbar) p_{N+1}(v)]
-        #   / sqrt(kappa_{N+1} kappa_{N+2})
-        lim = (kv[idx + 1][:, None] * Dn[idx + 1] - Kd[idx] * pv[idx + 1][:, None]) \
-            / np.sqrt(kv[idx + 1] * kv[idx + 2])[:, None]
-        out = np.empty_like(numer)
-        safe = ~near
-        out[:, safe] = numer[:, safe] / denom[:, safe]
-        out[:, near] = lim
-    else:
-        out = numer / denom
-    return out[:, 0] if scalar else out
+    _, R = _charge_qr(basis, nmax)
+    P = orthonormal_values(basis.alpha, basis.params, nmax, z)
+    return np.linalg.solve(R.T, P.reshape(nmax + 1, -1)).reshape(P.shape)
 
 
 def christoffel_poly(basis: ChristoffelBasis, N: int, z):
@@ -199,34 +186,33 @@ class HessenbergMatrix:
 def hessenberg(basis, nmax: int, strategy: str = "auto") -> HessenbergMatrix:
     """Hessenberg matrix of multiplication by z in the given orthonormal basis.
 
-    For the plain Gegenbauer basis the closed three-term coefficients are
-    used ('closed', the default); 'quadrature' runs Arnoldi on the area rule
-    exact for the entries' degree 2 nmax.  The Christoffel basis always uses
-    quadrature, under the charged weight |v - z|^2 dA_alpha on the rule
-    exact for degree 2 nmax + 2.
+    'closed' (the default, 'auto') reads the plain Gegenbauer basis's three-term
+    coefficients; for the Christoffel basis it takes one shifted QR step of
+    them, H(1) = R Q + vE with Q, R from _charge_qr.  'quadrature' runs Arnoldi
+    on the area rule exact for the entries' degree 2 nmax, under the charged
+    weight |v - z|^2 dA_alpha on the rule exact for degree 2 nmax + 2 for the
+    Christoffel basis: the independent check of both closed paths.
     """
     if nmax < 1:
         raise ValueError("nmax must be at least 1")
     if isinstance(basis, GegenbauerBasis):
         label = f"gegenbauer(alpha={basis.alpha})"
-        if strategy in ("auto", "closed"):
-            a, b = _recurrence_table(basis.alpha, basis.params, nmax - 1)
-            n = np.arange(nmax)
-            entries = np.zeros((nmax + 1, nmax), dtype=complex)
-            entries[n + 1, n] = a
-            entries[n[:-1], n[1:]] = b[1:]
-            return HessenbergMatrix(basis_label=label, nmax=nmax, entries=entries,
-                                    strategy="closed")
-        if strategy != "quadrature":
-            raise ValueError(f"unknown strategy {strategy!r}")
     elif isinstance(basis, ChristoffelBasis):
-        if strategy not in ("auto", "quadrature"):
-            raise ValueError("christoffel entries are only available by quadrature")
         label = f"christoffel(alpha={basis.alpha}, v={basis.v})"
     else:
         raise TypeError(f"unsupported basis {type(basis).__name__}")
 
     charged = isinstance(basis, ChristoffelBasis)
+    if strategy in ("auto", "closed"):
+        if charged:
+            Q, R = _charge_qr(basis, nmax)
+            entries = np.triu(R @ Q[: nmax + 1, :nmax], -1) + basis.v * np.eye(nmax + 1, nmax)
+        else:
+            entries = _closed_entries(basis.alpha, basis.params, nmax)
+        return HessenbergMatrix(basis_label=label, nmax=nmax, entries=entries,
+                                strategy="closed")
+    if strategy != "quadrature":
+        raise ValueError(f"unknown strategy {strategy!r}")
     rule = _exact_rule(area_measure(basis.params, basis.alpha), 2 * nmax + 2 * charged)
     weights = rule.weights * np.abs(basis.v - rule.nodes) ** 2 if charged else rule.weights
     return HessenbergMatrix(basis_label=label, nmax=nmax,
@@ -291,8 +277,7 @@ def turan_determinant(alpha: float, l: int, x: float) -> float:
     """
     if l < 0:
         raise ValueError("l must be nonnegative")
-    if not alpha > -1.0:
-        raise ValueError(f"alpha must exceed -1, got {alpha}")
+    _check_alpha(alpha)
     C = gegenbauer_matrix(alpha, l + 2, np.array(float(x))).real
     # C_k(1) = (2+2alpha)_k / k!
     ln1 = [lnpoch(2.0 + 2.0 * alpha, k) - math.lgamma(k + 1) for k in (l, l + 1, l + 2)]

@@ -180,6 +180,12 @@ class MeasureKind(Enum):
 _ALPHA_KINDS = {MeasureKind.AREA_ALPHA, MeasureKind.B_MINUS, MeasureKind.B_PLUS}
 
 
+def _check_alpha(alpha) -> None:
+    """Every alpha-dependent entry point takes a finite alpha > -1."""
+    if not -1.0 < alpha < math.inf:
+        raise ValueError(f"alpha must exceed -1 and be finite, got {alpha}")
+
+
 @dataclass(frozen=True)
 class Measure:
     """A weight on the ellipse, in one of two bookkeeping conventions.
@@ -203,8 +209,7 @@ class Measure:
         if self.kind in _ALPHA_KINDS:
             if self.alpha is None:
                 raise ValueError(f"{self.kind.value} measure requires alpha")
-            if not self.alpha > -1.0:
-                raise ValueError(f"alpha must exceed -1, got {self.alpha}")
+            _check_alpha(self.alpha)
         elif self.alpha is not None:
             raise ValueError(f"{self.kind.value} measure takes no alpha")
 

@@ -19,6 +19,7 @@ import numpy as np
 from .geometry import (
     EllipseParams,
     Measure,
+    _check_alpha,
     area_measure,
     b_minus_measure,
     b_plus_measure,
@@ -291,8 +292,7 @@ def log_monic_norm(alpha: float, p: EllipseParams, n: int,
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    if not alpha > -1.0:
-        raise ValueError(f"alpha must exceed -1, got {alpha}")
+    _check_alpha(alpha)
     if method == "gegenbauer":
         return 2.0 * _log_monic_factor(alpha, p, n) + math.log(gegenbauer_norm(alpha, p, n))
     if method == "hypergeometric":

@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .geometry import EllipseParams
+from .geometry import EllipseParams, _check_alpha
 
 __all__ = [
     "FamilyKind",
@@ -70,8 +70,7 @@ class PolynomialFamily:
         if needs_alpha:
             if self.alpha is None:
                 raise ValueError(f"{self.kind.value} requires alpha")
-            if not self.alpha > -1.0:
-                raise ValueError(f"alpha must exceed -1, got {self.alpha}")
+            _check_alpha(self.alpha)
         elif self.alpha is not None:
             raise ValueError(f"{self.kind.value} takes no alpha")
         if self.kind == FamilyKind.JACOBI_HALF and self.sign not in (-1, 1):
@@ -153,8 +152,7 @@ def eval_gegenbauer(alpha: float, n: int, z):
     """C_n^{(1+alpha)}(z), scalar or elementwise on arrays."""
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    if not alpha > -1.0:
-        raise ValueError(f"alpha must exceed -1, got {alpha}")
+    _check_alpha(alpha)
     zz, scalar = _as_complex(z)
     val = gegenbauer_matrix(alpha, n, zz)[n]
     return complex(val) if scalar else val
@@ -230,8 +228,7 @@ def gegenbauer_coeffs(alpha: float, n: int) -> CoefficientVector:
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    if not alpha > -1.0:
-        raise ValueError(f"alpha must exceed -1, got {alpha}")
+    _check_alpha(alpha)
     coeffs = np.zeros(n + 1)
     for j in range(n % 2, n + 1, 2):
         ln = (j * math.log(2.0)
@@ -255,8 +252,7 @@ def eval_coeffs(cv: CoefficientVector, z):
 
 def _gegenbauer_norms(alpha: float, p: EllipseParams, nmax: int) -> np.ndarray:
     """h_0..h_nmax from one recurrence pass, non-finite past the double range."""
-    if not alpha > -1.0:
-        raise ValueError(f"alpha must exceed -1, got {alpha}")
+    _check_alpha(alpha)
     k = np.arange(nmax + 1)
     with np.errstate(over="ignore", invalid="ignore"):
         return (1.0 + alpha) / (1.0 + alpha + k) * gegenbauer_matrix(alpha, nmax, p.x_star).real

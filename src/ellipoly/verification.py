@@ -237,8 +237,9 @@ def check_multiplication_matrix() -> CheckResult:
     quadrature Hessenberg has bandwidth 2 at tol 1e-10 (n <= 12).  Christoffel
     basis at v = 1.5: entries below the band must be nonvanishing
     (> 1e-6) for each column n in 4..8, the closed-form entries must match
-    quadrature to 1e-8, and the below-band mass must decay monotonically as
-    b shrinks through {0.5, 0.1, 0.02}.
+    both quadrature and the QR step (hessenberg's closed path) to 1e-8, and
+    the below-band mass must decay monotonically as b shrinks through
+    {0.5, 0.1, 0.02}.  Every structural clause reads the Arnoldi matrices.
 
     The n = 4 clause fails structurally at this exact charge location: the
     degree-5 orthonormal polynomial vanishes at v (1.5/sqrt(3) = cos(pi/6)
@@ -250,42 +251,44 @@ def check_multiplication_matrix() -> CheckResult:
     d_plain = bandwidth(plain, 1e-10)
 
     basis = ChristoffelBasis(0.0, P21, 1.5 + 0j)
-    H = hessenberg(basis, 9)
+    H = hessenberg(basis, 9, strategy="quadrature")
+    Hqr = hessenberg(basis, 9, strategy="closed")
     col_max = {}
     for n in range(4, 9):
         col_max[n] = float(np.max(np.abs(H.entries[: n - 1, n])))
     nonvanish_ok = {n: v > 1e-6 for n, v in col_max.items()}
 
-    worst_closed = 0.0
+    worst_closed = worst_qr = 0.0
     for n in range(2, 9):
         for l in range(0, n - 1):
-            cq = H.entries[l, n]
             cc = christoffel_entry_closed(basis, l, n)
-            worst_closed = max(worst_closed, abs(cq - cc))
+            worst_closed = max(worst_closed, abs(H.entries[l, n] - cc))
+            worst_qr = max(worst_qr, abs(Hqr.entries[l, n] - cc))
 
     decay = []
     for b in (0.5, 0.1, 0.02):
         pb = make_params(2.0, b)
         bb = ChristoffelBasis(0.0, pb, 1.5 + 0j)
-        Hb = hessenberg(bb, 9)
+        Hb = hessenberg(bb, 9, strategy="quadrature")
         mass = max(float(np.max(np.abs(Hb.entries[: n - 1, n])))
                    for n in range(2, 9))
         decay.append(mass)
     decay_ok = all(m2 < m1 for m1, m2 in zip(decay, decay[1:]))
 
     basis16 = ChristoffelBasis(0.0, P21, 1.6 + 0j)
-    H16 = hessenberg(basis16, 9)
+    H16 = hessenberg(basis16, 9, strategy="quadrature")
     alt_n4 = float(np.max(np.abs(H16.entries[:3, 4])))
 
     d_chris = bandwidth(H, 1e-8)
 
     passed = (d_plain == 2 and all(nonvanish_ok.values())
-              and worst_closed <= 1e-8 and decay_ok)
+              and worst_closed <= 1e-8 and worst_qr <= 1e-8 and decay_ok)
     failing = [n for n, ok in nonvanish_ok.items() if not ok]
     detail = (f"plain bandwidth d={d_plain} (want 2); below-band max per column "
               + ", ".join(f"n={n}:{col_max[n]:.2e}" for n in range(4, 9))
               + f" (want > 1e-6 each); closed-vs-quadrature {worst_closed:.3e} "
-              f"(tol 1e-8); decay along b=0.5,0.1,0.02: "
+              f"(tol 1e-8); closed-vs-QR {worst_qr:.3e} (tol 1e-8); "
+              f"decay along b=0.5,0.1,0.02: "
               + " > ".join(f"{m:.2e}" for m in decay)
               + (" ok" if decay_ok else " NOT monotone"))
     if failing:
@@ -302,6 +305,7 @@ def check_multiplication_matrix() -> CheckResult:
                  "christoffel_bandwidth_nmax9": d_chris,
                  "below_band_max": {str(n): col_max[n] for n in range(4, 9)},
                  "closed_vs_quadrature": worst_closed,
+                 "closed_vs_qr": worst_qr,
                  "decay_b_sweep": decay,
                  "v16_column4_max": alt_n4,
                  "rule_nodes": {"plain": list(plain.rule_shape),

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -24,8 +25,9 @@ from ellipoly import (
     recurrence_coeffs,
     turan_determinant,
 )
-from ellipoly.bergman import _charge_values, _column_ladder
+from ellipoly.bergman import _charge_qr, _charge_values, _column_ladder
 from ellipoly.polynomials import _recurrence_table
+from conftest import kernel_quotient
 
 
 def test_kernel_truncation_one_is_constant(p21):
@@ -101,11 +103,89 @@ def test_christoffel_poly_leading_coefficient(p21):
 
 
 def test_christoffel_values_near_charge_limit(p21):
-    basis = ChristoffelBasis(0.0, p21, 0.9 + 0.4j)
-    at = christoffel_values(basis, 5, np.array([basis.v]))
-    near = christoffel_values(basis, 5, np.array([basis.v + 1e-9]))
-    np.testing.assert_allclose(at, near, rtol=1e-5)
-    assert np.all(np.isfinite(at))
+    """Continuous from v + 1e-12 to z = v exactly, an ordinary point."""
+    for alpha, v, nmax in ((0.0, 0.9 + 0.4j, 5), (0.5, 0.3 + 0.4j, 24)):
+        basis = ChristoffelBasis(alpha, p21, v)
+        at = christoffel_values(basis, nmax, np.array([basis.v]))
+        near = christoffel_values(basis, nmax, np.array([basis.v + 1e-12]))
+        np.testing.assert_allclose(at, near, rtol=1e-10)
+        assert np.all(np.isfinite(at))
+
+
+def _mp_kernel_quotient(alpha, a, b, v, nmax, z):
+    """The kernel quotient of conftest.kernel_quotient at 40 digits, from
+    Gegenbauer values and norms h_n = (1+alpha)/(1+alpha+n) C_n(x*) by the
+    same recurrence in mpmath: its cancellation near v costs nothing here."""
+    with mp.workdps(40):
+        al, a, b = mp.mpf(alpha), mp.mpf(a), mp.mpf(b)
+        c = mp.sqrt(a * a - b * b)
+
+        def gegenbauer(x):   # C_0..C_{nmax+1} at x
+            C = [mp.mpf(1), 2 * (1 + al) * x]
+            for k in range(1, nmax + 1):
+                C.append((2 * (k + 1 + al) * x * C[k] - (k + 1 + 2 * al) * C[k - 1]) / (k + 1))
+            return C
+
+        h = [(1 + al) / (1 + al + k) * Ck
+             for k, Ck in enumerate(gegenbauer((a * a + b * b) / (c * c)))]
+        pz = [Ck / mp.sqrt(hk) for Ck, hk in zip(gegenbauer(mp.mpc(z) / c), h)]
+        pv = [Ck / mp.sqrt(hk) for Ck, hk in zip(gegenbauer(mp.mpc(v) / c), h)]
+        kv, Kz = [mp.mpf(0)], [mp.mpc(0)]
+        for x, y in zip(pz, pv):
+            kv.append(kv[-1] + abs(y) ** 2)
+            Kz.append(Kz[-1] + x * mp.conj(y))
+        return np.array([complex((Kz[N + 1] * pv[N + 1] - kv[N + 1] * pz[N + 1])
+                                 / ((mp.mpc(v) - mp.mpc(z)) * mp.sqrt(kv[N + 1] * kv[N + 2])))
+                         for N in range(nmax + 1)])
+
+
+@pytest.mark.parametrize("v", [0.3 + 0.4j, 1.5 + 0j])
+def test_christoffel_values_match_kernel_quotient_away_from_charge(p21, v):
+    """Measured at each point against its largest value: single degrees pass
+    near zero (P(1)_14(1.51) is 50 times smaller than its neighbours)."""
+    basis = ChristoffelBasis(0.5, p21, v)
+    x, y = np.meshgrid(np.linspace(-1.8, 1.8, 13), np.linspace(-0.9, 0.9, 7))
+    z = np.concatenate([(x + 1j * y).ravel(), v + 1e-2 * np.exp(2j * np.pi * np.arange(8) / 8)])
+    z = z[np.abs(z - v) >= 1e-2]
+    for nmax in (9, 24):
+        ref = kernel_quotient(basis, nmax, z)
+        got = christoffel_values(basis, nmax, z)
+        gap = np.max(np.abs(got - ref), axis=0) / np.max(np.abs(ref), axis=0)
+        assert np.max(gap) <= 1e-13, nmax
+
+
+@pytest.mark.parametrize("dist", [1e-4, 1e-6, 1.01e-8, 5e-9])
+def test_christoffel_values_near_charge_against_mpmath(p21, dist):
+    """Near the charge the kernel quotient loses about eps/|z - v| to
+    cancellation; the QR-step values keep full accuracy right up to v."""
+    v = 0.3 + 0.4j
+    basis = ChristoffelBasis(0.5, p21, v)
+    for theta in (0.7, 2.9):
+        z = complex(v + dist * np.exp(1j * theta))
+        ref = _mp_kernel_quotient(0.5, 2.0, 1.0, v, 24, z)
+        got = christoffel_values(basis, 24, z)
+        assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-13, theta
+
+
+def test_christoffel_monic_norm_is_the_qr_diagonal(p21):
+    """Leading coefficients: P(1)_N = p_N / R[N, N] + lower terms, so the
+    monic charged norm is R[N, N]^2 times the plain one."""
+    basis = ChristoffelBasis(0.7, p21, 0.8 + 0.2j)
+    _, R = _charge_qr(basis, 12)
+    for N in range(13):
+        assert christoffel_norm_monic(basis, N) == pytest.approx(
+            R[N, N].real ** 2 * monic_norm(0.7, p21, N), rel=1e-12)
+
+
+@pytest.mark.parametrize("v", [complex(math.nan, 0.0), complex(0.3, math.inf), -math.inf])
+def test_christoffel_basis_rejects_a_non_finite_charge(p21, v):
+    calls = (lambda b: christoffel_values(b, 5, 0.1 + 0.2j),
+             lambda b: christoffel_norm_monic(b, 3),
+             lambda b: christoffel_entry_closed(b, 0, 4),
+             lambda b: hessenberg(b, 5))
+    for call in calls:
+        with pytest.raises(ValueError, match="charge v must be finite"):
+            call(ChristoffelBasis(0.5, p21, v))
 
 
 def test_christoffel_real_charge_real_axis(p21):
@@ -116,7 +196,7 @@ def test_christoffel_real_charge_real_axis(p21):
 
 def test_closed_entry_matches_quadrature_complex_charge(p21):
     basis = ChristoffelBasis(0.0, p21, 0.9 + 0.4j)
-    H = hessenberg(basis, 8)
+    H = hessenberg(basis, 8, strategy="quadrature")
     worst = max(abs(H.entries[l, n] - christoffel_entry_closed(basis, l, n))
                 for n in range(2, 8) for l in range(n - 1))
     assert worst < 1e-12
@@ -136,20 +216,33 @@ def test_quadrature_hessenberg_runs_on_its_exact_rule(p21, nmax):
     """Arnoldi leaves exact zeros below the subdiagonal, and each path records
     the rule it ran on: exact for degree 2 nmax, plus 2 for the charge."""
     basis = GegenbauerBasis(0.5, p21)
+    charged_basis = ChristoffelBasis(0.5, p21, 1.5 + 0j)
     plain = hessenberg(basis, nmax, strategy="quadrature")
-    charged = hessenberg(ChristoffelBasis(0.5, p21, 1.5 + 0j), nmax)
+    charged = hessenberg(charged_basis, nmax, strategy="quadrature")
     assert plain.rule_shape == (nmax + 1, 2 * nmax + 2)
     assert charged.rule_shape == (nmax + 2, 2 * nmax + 4)
     assert hessenberg(basis, nmax).rule_shape is None
+    assert hessenberg(charged_basis, nmax).rule_shape is None
     l, n = np.indices(plain.entries.shape)
     for H in (plain, charged):
         assert np.all(H.entries[l > n + 1] == 0)
 
 
-def test_hessenberg_rejects_closed_christoffel(p21):
-    basis = ChristoffelBasis(0.0, p21, 1.0 + 0j)
-    with pytest.raises(ValueError):
-        hessenberg(basis, 5, strategy="closed")
+@pytest.mark.parametrize("alpha, b, v", [(0.0, 1.0, 1.0), (0.5, 1.0, 0.3 + 0.4j),
+                                         (-0.64, 0.81, -0.06 - 0.17j), (2.3, 0.17, 2.5 + 1.0j)])
+def test_christoffel_closed_hessenberg_is_the_qr_step(alpha, b, v):
+    """'closed' is the default for the charged basis too, builds no rule, and
+    matches Arnoldi on the charged rule to roundoff per column norm."""
+    basis = ChristoffelBasis(alpha, make_params(2.0, b), v)
+    for nmax in (9, 24, 60):
+        H = hessenberg(basis, nmax, strategy="closed")
+        assert H.strategy == "closed" and H.rule_shape is None
+        assert np.array_equal(hessenberg(basis, nmax).entries, H.entries)
+        Hq = hessenberg(basis, nmax, strategy="quadrature")
+        gap = np.max(np.abs(H.entries - Hq.entries), axis=0) / Hq.column_norms()
+        assert np.max(gap) <= 1e-13, nmax
+    with pytest.raises(ValueError, match="unknown strategy"):
+        hessenberg(basis, 5, strategy="matmul")
 
 
 def _synthetic(entries):

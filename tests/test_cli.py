@@ -138,10 +138,20 @@ def test_hessenberg_bandwidth():
 def test_hessenberg_meta_records_the_rule_it_ran_on():
     """The charged basis runs on the rule exact for degree 2 nmax + 2; the
     closed path builds none."""
-    p = run_cli("hessenberg", "--basis", "christoffel")
+    p = run_cli("hessenberg", "--basis", "christoffel", "--strategy", "quadrature")
     assert json.loads(p.stdout)["meta"]["rule"] == {"n_radial": 12, "n_angular": 24}
-    p = run_cli("hessenberg", "--strategy", "closed")
-    assert "rule" not in json.loads(p.stdout)["meta"]
+    for basis in ("christoffel", "gegenbauer"):
+        p = run_cli("hessenberg", "--basis", basis, "--strategy", "closed")
+        assert "rule" not in json.loads(p.stdout)["meta"]
+
+
+@pytest.mark.parametrize("v_re", ["nan", "inf"])
+def test_hessenberg_rejects_a_non_finite_charge(v_re):
+    p = run_cli("hessenberg", "--basis", "christoffel", "--v-re", v_re)
+    assert p.returncode == 1
+    assert p.stdout == ""
+    assert "charge v must be finite" in p.stderr
+    assert "Traceback" not in p.stderr
 
 
 def test_limits_csv_rows_decrease(tmp_path):

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from ellipoly import (
+    ChristoffelBasis,
+    GegenbauerBasis,
     area_measure,
     b_minus_measure,
     b_plus_measure,
@@ -17,13 +19,39 @@ from ellipoly import (
     ellipse_h,
     elliptic_to_cartesian,
     flat_measure,
+    build_rule,
+    eval_gegenbauer,
     focal_j,
+    gegenbauer,
+    gegenbauer_coeffs,
     inverse_quadratic_map,
     joukowsky,
+    log_monic_norm,
     make_params,
+    orthonormal_values,
     quadratic_map,
+    recurrence_coeffs,
+    turan_determinant,
     weight_density,
 )
+
+
+@pytest.mark.parametrize("alpha", [math.inf, math.nan, -1.0, -math.inf])
+def test_every_alpha_entry_point_takes_a_finite_alpha_above_minus_one(p21, alpha):
+    calls = (lambda: recurrence_coeffs(alpha, p21, 3),
+             lambda: orthonormal_values(alpha, p21, 3, 0.1 + 0.2j),
+             lambda: turan_determinant(alpha, 2, 5.0 / 3.0),
+             lambda: build_rule(area_measure(p21, alpha)),
+             lambda: b_minus_measure(p21, alpha),
+             lambda: log_monic_norm(alpha, p21, 3),
+             lambda: eval_gegenbauer(alpha, 3, 0.5),
+             lambda: gegenbauer_coeffs(alpha, 3),
+             lambda: gegenbauer(alpha),
+             lambda: GegenbauerBasis(alpha, p21),
+             lambda: ChristoffelBasis(alpha, p21, 1.5))
+    for call in calls:
+        with pytest.raises(ValueError, match="alpha must exceed -1"):
+            call()
 
 
 def test_derived_quantities_p21():
