@@ -108,8 +108,19 @@ def _charge_values(basis: ChristoffelBasis, through: int):
 
 def _closed_entries(alpha: float, p: EllipseParams, nmax: int) -> np.ndarray:
     """The plain basis's Hessenberg entries, shape (nmax+1, nmax), from its
-    three-term recurrence: a_{n+1} below the diagonal, b_n above it."""
-    a, b = _recurrence_table(alpha, p, nmax - 1)
+    three-term recurrence: a_{n+1} below the diagonal, b_n above it.
+
+    Raises ValueError naming the first degree n whose column z p_n is not
+    finite, where C_{n+1}(x_star) leaves the double range (n = 639 at p(2,1),
+    alpha 0).
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        a, b = _recurrence_table(alpha, p, nmax - 1)
+    bad = ~(np.isfinite(a) & np.isfinite(b))
+    if bad.any():
+        n = int(np.argmax(bad))
+        raise ValueError(f"closed Hessenberg entries are not finite from degree {n} "
+                         f"(alpha = {alpha}): C_{n + 1}(x_star) overflows the double range")
     n = np.arange(nmax)
     entries = np.zeros((nmax + 1, nmax), dtype=complex)
     entries[n + 1, n] = a
@@ -278,13 +289,15 @@ def turan_determinant(alpha: float, l: int, x: float) -> float:
     if l < 0:
         raise ValueError("l must be nonnegative")
     _check_alpha(alpha)
-    C = gegenbauer_matrix(alpha, l + 2, np.array(float(x))).real
+    C = gegenbauer_matrix(alpha, l + 2, float(x))[l:].real.tolist()
     # C_k(1) = (2+2alpha)_k / k!
-    ln1 = [lnpoch(2.0 + 2.0 * alpha, k) - math.lgamma(k + 1) for k in (l, l + 1, l + 2)]
-    t1 = C[l + 1] / math.exp(ln1[1])
-    t0 = C[l] / math.exp(ln1[0])
-    t2 = C[l + 2] / math.exp(ln1[2])
-    return float(t1 * t1 - t0 * t2)
+    t0, t1, t2 = (c / math.exp(lnpoch(2.0 + 2.0 * alpha, k) - math.lgamma(k + 1))
+                  for c, k in zip(C, (l, l + 1, l + 2)))
+    delta = t1 * t1 - t0 * t2
+    if not math.isfinite(delta):
+        raise ValueError(f"Turan determinant Delta_{l}({x}) is not finite for alpha = "
+                         f"{alpha}: its terms overflow the double range")
+    return delta
 
 
 def heine_check(alpha: float, p: EllipseParams, N: int) -> float:

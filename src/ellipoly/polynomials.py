@@ -123,14 +123,21 @@ def _as_complex(z):
 
 def _forward(nmax: int, z, first, step) -> np.ndarray:
     """Rows 0..nmax of a three-term family by forward recurrence: row 0 is 1,
-    row 1 is first(z) and row k+1 is step(k, z, row k, row k-1)."""
-    z, _ = _as_complex(z)
+    row 1 is first(z) and row k+1 is step(k, z, row k, row k-1).
+
+    A single point is stepped on a Python number, a float when its imaginary
+    part is zero and a complex otherwise, which costs about a fifth of a step
+    on a 0-d array; past the double range it gives inf and then nan without
+    warnings.  An array of points is stepped a row at a time."""
+    z, point = _as_complex(z)
     out = np.empty((nmax + 1,) + z.shape, dtype=complex)
+    if point:
+        z = z.real.item() if z.imag == 0 else z.item()
     out[0] = 1.0
     if nmax >= 1:
-        out[1] = first(z)
         # the last two rows ride in locals, which is cheaper than indexing out
-        prev, cur = out[0], out[1]
+        prev, cur = 1.0, first(z)
+        out[1] = cur
         for k in range(1, nmax):
             prev, cur = cur, step(k, z, cur, prev)
             out[k + 1] = cur

@@ -284,6 +284,15 @@ def test_turan_zeros_at_edges_and_nonzero_inside():
             assert abs(turan_determinant(alpha, l, 5.0 / 3.0)) > 1e-6
 
 
+def test_turan_raises_where_its_terms_overflow():
+    """(C_{l+1}(5/3)/C_{l+1}(1))^2 overflows from l = 328 at alpha = 0: the
+    determinant raises there, without numpy warnings, instead of returning nan."""
+    assert math.isfinite(turan_determinant(0.0, 327, 5.0 / 3.0))
+    for l in (328, 1000):
+        with pytest.raises(ValueError, match=f"Delta_{l}.* is not finite"):
+            turan_determinant(0.0, l, 5.0 / 3.0)
+
+
 def test_heine_average_matches_monic(p21):
     assert heine_check(0.0, p21, 1) < 1e-12
     assert heine_check(0.0, p21, 2) < 1e-8
@@ -318,6 +327,22 @@ def test_closed_hessenberg_is_recurrence_coeffs(p21, alpha):
         if n >= 1:
             expect[n - 1, n] = b_n
     assert np.array_equal(H, expect)
+
+
+def test_closed_hessenberg_raises_past_the_double_range(p21):
+    """At p(2,1) and alpha = 0, C_640(x_star) overflows, so a_640 (column 639)
+    is the first closed entry that is not finite.  Every closed path that
+    reads that column raises and names the degree; one column short stays
+    finite."""
+    plain, charged = GegenbauerBasis(0.0, p21), ChristoffelBasis(0.0, p21, 1.5)
+    assert np.all(np.isfinite(hessenberg(plain, 639).entries))
+    assert np.all(np.isfinite(hessenberg(charged, 600).entries))
+    assert np.all(np.isfinite(christoffel_values(charged, 638, 0.3 + 0.1j)))
+    for call in (lambda: hessenberg(plain, 640), lambda: hessenberg(plain, 700),
+                 lambda: hessenberg(charged, 639), lambda: hessenberg(charged, 700),
+                 lambda: christoffel_values(charged, 639, 0.3 + 0.1j)):
+        with pytest.raises(ValueError, match="not finite from degree 639 "):
+            call()
 
 
 @pytest.mark.parametrize("alpha, b, v", [(0.0, 1.0, 1.5), (-0.64, 0.81, -0.06 - 0.17j),

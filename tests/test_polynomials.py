@@ -1,7 +1,9 @@
 """Polynomial evaluation against independent oracles (scipy.special)."""
 
 import math
+import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from numpy.polynomial.hermite import hermval
@@ -126,6 +128,52 @@ def test_eval_family_single_degree(complex_grid):
     fam = gegenbauer(0.3)
     np.testing.assert_allclose(eval_family(fam, 5, complex_grid),
                                gegenbauer_matrix(0.3, 5, complex_grid)[5])
+
+
+ALL_FAMILIES = (gegenbauer(-0.9), gegenbauer(0.0), gegenbauer(2.5), legendre(),
+                chebyshev_t(), chebyshev_u(), chebyshev_v(), chebyshev_w(),
+                jacobi_half(0.3, 1), jacobi_half(-0.7, -1), hermite())
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f"{f.kind.value}-{f.alpha}-{f.sign}")
+@pytest.mark.parametrize("z", [1.3, -1.7, 0.4 + 0.9j, -1.1 + 0.5j])
+def test_point_steps_like_a_one_element_array(family, z):
+    """A single point is stepped on Python numbers and an array row by row in
+    numpy; the two differ only by rounding, so every row agrees to 1e-13
+    relative (the points are off the real segment where the rows have zeros).
+    A real point keeps every imaginary part exactly zero."""
+    nmax = 60
+    point = family_matrix(family, nmax, z)
+    array = family_matrix(family, nmax, np.array([z]))[:, 0]
+    assert point.shape == (nmax + 1,) and point.dtype == complex
+    assert np.all(np.abs(point - array) <= 1e-13 * np.abs(array))
+    if isinstance(z, float):
+        assert np.all(point.imag == 0)
+
+
+@pytest.mark.parametrize("alpha, a, b", [(0.0, 1.0, 0.1), (2.5, 1.0, 0.3)])
+def test_gegenbauer_at_x_star_to_degree_1000_against_mpmath(alpha, a, b):
+    """The norm ladder's pass, C_k^{(1+alpha)}(x_star) for k <= 1000, where
+    C_1000 is still in range (4.3e87 and 2.2e276), against mpmath at 40 digits:
+    the dominant solution at x_star > 1 keeps the forward pass accurate."""
+    x = make_params(a, b).x_star
+    C = gegenbauer_matrix(alpha, 1000, x)
+    with mp.workdps(40):
+        ref = np.array([float(mp.gegenbauer(k, 1 + alpha, mp.mpf(x))) for k in range(1001)])
+    assert np.all(C.imag == 0)
+    np.testing.assert_allclose(C.real, ref, rtol=1e-13, atol=0)
+
+
+def test_gegenbauer_point_overflow_is_a_silent_non_finite_tail():
+    """At x = 5/3 (x_star of p(2,1)) C_k overflows from k = 640: the point pass
+    returns inf and then nan there, without raising or warning; callers
+    check finiteness themselves."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        C = gegenbauer_matrix(0.0, 1000, 5.0 / 3.0)
+    assert C.shape == (1001,)
+    assert np.all(np.isfinite(C[:640])) and not np.any(np.isfinite(C[640:]))
+    assert np.isnan(C[-1])
 
 
 def test_family_parameter_validation():
