@@ -64,21 +64,18 @@ from .norms import (
     monic_norm,
 )
 from .polynomials import (
-    CoefficientVector,
     FamilyKind,
     PolynomialFamily,
     chebyshev_t,
     chebyshev_u,
     chebyshev_v,
     chebyshev_w,
-    eval_coeffs,
     eval_family,
     eval_gegenbauer,
     eval_terminating_2f1,
     family_matrix,
     gegenbauer,
     gegenbauer_coeffs,
-    gegenbauer_derivative,
     gegenbauer_matrix,
     gegenbauer_norm,
     hermite,

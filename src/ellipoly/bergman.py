@@ -194,10 +194,10 @@ class HessenbergMatrix:
         return np.sqrt(np.sum(np.abs(self.entries) ** 2, axis=0))
 
 
-def hessenberg(basis, nmax: int, strategy: str = "auto") -> HessenbergMatrix:
+def hessenberg(basis, nmax: int, strategy: str = "closed") -> HessenbergMatrix:
     """Hessenberg matrix of multiplication by z in the given orthonormal basis.
 
-    'closed' (the default, 'auto') reads the plain Gegenbauer basis's three-term
+    'closed' (the default) reads the plain Gegenbauer basis's three-term
     coefficients; for the Christoffel basis it takes one shifted QR step of
     them, H(1) = R Q + vE with Q, R from _charge_qr.  'quadrature' runs Arnoldi
     on the area rule exact for the entries' degree 2 nmax, under the charged
@@ -214,7 +214,7 @@ def hessenberg(basis, nmax: int, strategy: str = "auto") -> HessenbergMatrix:
         raise TypeError(f"unsupported basis {type(basis).__name__}")
 
     charged = isinstance(basis, ChristoffelBasis)
-    if strategy in ("auto", "closed"):
+    if strategy == "closed":
         if charged:
             Q, R = _charge_qr(basis, nmax)
             entries = np.triu(R @ Q[: nmax + 1, :nmax], -1) + basis.v * np.eye(nmax + 1, nmax)
@@ -290,10 +290,13 @@ def turan_determinant(alpha: float, l: int, x: float) -> float:
         raise ValueError("l must be nonnegative")
     _check_alpha(alpha)
     C = gegenbauer_matrix(alpha, l + 2, float(x))[l:].real.tolist()
-    # C_k(1) = (2+2alpha)_k / k!
-    t0, t1, t2 = (c / math.exp(lnpoch(2.0 + 2.0 * alpha, k) - math.lgamma(k + 1))
-                  for c, k in zip(C, (l, l + 1, l + 2)))
-    delta = t1 * t1 - t0 * t2
+    # C_k(1) = (2+2alpha)_k / k!; math.exp raises OverflowError past the double range
+    try:
+        t0, t1, t2 = (c / math.exp(lnpoch(2.0 + 2.0 * alpha, k) - math.lgamma(k + 1))
+                      for c, k in zip(C, (l, l + 1, l + 2)))
+        delta = t1 * t1 - t0 * t2
+    except OverflowError:
+        delta = math.inf
     if not math.isfinite(delta):
         raise ValueError(f"Turan determinant Delta_{l}({x}) is not finite for alpha = "
                          f"{alpha}: its terms overflow the double range")

@@ -332,8 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="charge location (christoffel basis)")
     sp.add_argument("--v-im", type=float, default=0.0)
     sp.add_argument("--nmax", type=int, default=10)
-    sp.add_argument("--strategy", choices=["auto", "closed", "quadrature"],
-                    default="auto")
+    sp.add_argument("--strategy", choices=["closed", "quadrature"],
+                    default="closed")
     sp.add_argument("--tol", type=float, default=1e-8,
                     help="bandwidth detection tolerance")
     _add_geometry(sp)

@@ -20,7 +20,6 @@ from .geometry import EllipseParams, _check_alpha
 __all__ = [
     "FamilyKind",
     "PolynomialFamily",
-    "CoefficientVector",
     "gegenbauer",
     "legendre",
     "chebyshev_t",
@@ -34,10 +33,8 @@ __all__ = [
     "eval_family",
     "family_matrix",
     "gegenbauer_coeffs",
-    "eval_coeffs",
     "gegenbauer_norm",
     "recurrence_coeffs",
-    "gegenbauer_derivative",
     "eval_terminating_2f1",
     "lnpoch",
 ]
@@ -216,17 +213,9 @@ def eval_family(family: PolynomialFamily, n: int, z):
     return complex(val) if scalar else val
 
 
-@dataclass(frozen=True)
-class CoefficientVector:
-    """Monomial coefficients of C_n^{(1+alpha)}: coeffs[j] multiplies z^j."""
-
-    alpha: float
-    n: int
-    coeffs: np.ndarray
-
-
-def gegenbauer_coeffs(alpha: float, n: int) -> CoefficientVector:
-    """Monomial coefficients of C_n^{(1+alpha)} from the closed Gamma-ratio form.
+def gegenbauer_coeffs(alpha: float, n: int) -> np.ndarray:
+    """Monomial coefficients kappa_0..kappa_n of C_n^{(1+alpha)}, kappa_j
+    multiplying z^j, from the closed Gamma-ratio form
 
     kappa_j = (-1)^{(n-j)/2} 2^j Gamma(alpha+1+(n+j)/2) /
               (Gamma(alpha+1) Gamma(j+1) Gamma(1+(n-j)/2))   for n - j even,
@@ -245,16 +234,7 @@ def gegenbauer_coeffs(alpha: float, n: int) -> CoefficientVector:
               - math.lgamma(1 + (n - j) / 2))
         sign = -1.0 if ((n - j) // 2) % 2 else 1.0
         coeffs[j] = sign * math.exp(ln)
-    return CoefficientVector(alpha=float(alpha), n=n, coeffs=coeffs)
-
-
-def eval_coeffs(cv: CoefficientVector, z):
-    """Horner evaluation of a coefficient vector (oracle for the recurrences)."""
-    zz, scalar = _as_complex(z)
-    acc = np.zeros_like(zz)
-    for cj in cv.coeffs[::-1]:
-        acc = acc * zz + cj
-    return complex(acc) if scalar else acc
+    return coeffs
 
 
 def _gegenbauer_norms(alpha: float, p: EllipseParams, nmax: int) -> np.ndarray:
@@ -304,14 +284,6 @@ def recurrence_coeffs(alpha: float, p: EllipseParams, n: int) -> tuple[float, fl
         raise ValueError("degree must be nonnegative")
     a, b = _recurrence_table(alpha, p, n)
     return float(a[n]), float(b[n])
-
-
-def gegenbauer_derivative(alpha: float, n: int, z):
-    """d/dz C_n^{(1+alpha)}(z) = 2 (1+alpha) C_{n-1}^{(2+alpha)}(z); zero for n = 0."""
-    if n == 0:
-        zz, scalar = _as_complex(z)
-        return 0j if scalar else np.zeros_like(zz)
-    return 2.0 * (1.0 + alpha) * eval_gegenbauer(alpha + 1.0, n - 1, z)
 
 
 def eval_terminating_2f1(n: int, b: float, c: float, x: float) -> float:

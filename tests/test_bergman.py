@@ -241,8 +241,9 @@ def test_christoffel_closed_hessenberg_is_the_qr_step(alpha, b, v):
         Hq = hessenberg(basis, nmax, strategy="quadrature")
         gap = np.max(np.abs(H.entries - Hq.entries), axis=0) / Hq.column_norms()
         assert np.max(gap) <= 1e-13, nmax
-    with pytest.raises(ValueError, match="unknown strategy"):
-        hessenberg(basis, 5, strategy="matmul")
+    for strategy in ("matmul", "auto"):
+        with pytest.raises(ValueError, match="unknown strategy"):
+            hessenberg(basis, 5, strategy=strategy)
 
 
 def _synthetic(entries):
@@ -285,12 +286,14 @@ def test_turan_zeros_at_edges_and_nonzero_inside():
 
 
 def test_turan_raises_where_its_terms_overflow():
-    """(C_{l+1}(5/3)/C_{l+1}(1))^2 overflows from l = 328 at alpha = 0: the
-    determinant raises there, without numpy warnings, instead of returning nan."""
+    """(C_{l+1}(5/3)/C_{l+1}(1))^2 overflows from l = 328 at alpha = 0, and
+    C_l(1) = (2+2alpha)_l / l! itself at alpha = 300, l = 1000: the
+    determinant raises ValueError there, without numpy warnings, instead of
+    returning nan or letting math.exp's OverflowError through."""
     assert math.isfinite(turan_determinant(0.0, 327, 5.0 / 3.0))
-    for l in (328, 1000):
+    for alpha, l, x in ((0.0, 328, 5.0 / 3.0), (0.0, 1000, 5.0 / 3.0), (300.0, 1000, 1.0)):
         with pytest.raises(ValueError, match=f"Delta_{l}.* is not finite"):
-            turan_determinant(0.0, l, 5.0 / 3.0)
+            turan_determinant(alpha, l, x)
 
 
 def test_heine_average_matches_monic(p21):

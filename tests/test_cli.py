@@ -145,6 +145,16 @@ def test_hessenberg_meta_records_the_rule_it_ran_on():
         assert "rule" not in json.loads(p.stdout)["meta"]
 
 
+def test_hessenberg_strategies_are_closed_and_quadrature():
+    """The default is 'closed'; any other name is a usage error (exit 1)."""
+    p = run_cli("hessenberg", "--basis", "christoffel", "--nmax", "4")
+    assert json.loads(p.stdout)["data"]["strategy"] == "closed"
+    p = run_cli("hessenberg", "--strategy", "auto")
+    assert p.returncode == 1
+    assert p.stdout == ""
+    assert "invalid choice: 'auto'" in p.stderr
+
+
 @pytest.mark.parametrize("v_re", ["nan", "inf"])
 def test_hessenberg_rejects_a_non_finite_charge(v_re):
     p = run_cli("hessenberg", "--basis", "christoffel", "--v-re", v_re)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.polynomial import polyval
 
 from ellipoly import (
     ChristoffelBasis,
@@ -20,7 +21,6 @@ from ellipoly import (
     chebyshev_v,
     chebyshev_w,
     closed_norm,
-    eval_coeffs,
     eval_gegenbauer,
     flat_measure,
     gegenbauer,
@@ -39,7 +39,7 @@ from ellipoly import (
     orthonormal_values,
 )
 from ellipoly.norms import _closed_norms, _norm_table
-from ellipoly.polynomials import CoefficientVector, family_matrix
+from ellipoly.polynomials import family_matrix
 from ellipoly.quadrature import _exact_rule
 
 from conftest import einsum_hessenberg
@@ -128,8 +128,7 @@ def test_gram_schmidt_recovers_gegenbauer(p21):
     assert gs[0].shape == (1,)
     assert gs[0][0] == pytest.approx(1.0)
     for n in range(11):
-        cv = gegenbauer_coeffs(alpha, n)
-        expect = cv.coeffs / p21.c ** np.arange(n + 1) \
+        expect = gegenbauer_coeffs(alpha, n) / p21.c ** np.arange(n + 1) \
             / math.sqrt(gegenbauer_norm(alpha, p21, n))
         np.testing.assert_allclose(gs[n], expect, rtol=1e-8, atol=1e-8)
 
@@ -138,10 +137,8 @@ def test_gram_schmidt_flat_measure_gives_second_kind(p21, complex_grid):
     """Under plain d^2 z the orthonormal family is U_n(z/c)/sqrt(norm)."""
     gs = gram_schmidt(flat_measure(p21), 6)
     for n in range(7):
-        got = eval_coeffs(CoefficientVector(alpha=None, n=n, coeffs=gs[n]),
-                          complex_grid)
-        u = gegenbauer_coeffs(0.0, n)
-        expect = eval_coeffs(u, complex_grid / p21.c) \
+        got = polyval(complex_grid, gs[n])
+        expect = polyval(complex_grid / p21.c, gegenbauer_coeffs(0.0, n)) \
             / math.sqrt(closed_norm(chebyshev_u(), p21, n))
         np.testing.assert_allclose(got, expect, rtol=1e-8, atol=1e-8)
 
@@ -163,8 +160,7 @@ def test_gram_schmidt_rejects_a_rule_for_another_measure(p21):
 
 def _values(coeffs, z):
     """Rows of Horner values of gram_schmidt's coefficient vectors at z."""
-    return np.array([eval_coeffs(CoefficientVector(alpha=None, n=len(c) - 1, coeffs=c), z)
-                     for c in coeffs])
+    return np.array([polyval(z, c) for c in coeffs])
 
 
 def _interior(p):

@@ -1,7 +1,8 @@
 """Rule sizes of the verify battery: every rule a check builds is sized from
 its check's degree, and each one agrees with the same rule at twice the size
 to roundoff (for the Chebyshev-T weight, which is not polynomial, that
-agreement is what fixes the size)."""
+agreement is what fixes the size).  Also the verdict of a check's bound
+list at the bound itself."""
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from ellipoly.limits import (
 )
 from ellipoly.verification import (
     P21,
+    _result,
     _sized_gram,
     check_chebyshev_families,
     check_gegenbauer_gram,
@@ -167,3 +169,19 @@ def test_limit_regime_final_maxima_are_pinned():
     assert metrics["hermite_final_max"] == pytest.approx(0.0011764705882362748, rel=1e-12)
     assert metrics["disc_final_max"] == pytest.approx(7.490007496571138e-4, rel=1e-12)
     assert metrics["realline_final_max"] == pytest.approx(0.0036042148810262425, rel=1e-12)
+
+
+@pytest.mark.parametrize("op, held", [("<=", True), ("==", True), ("<", False), (">", False)])
+def test_result_at_its_bound(op, held):
+    """A value equal to its bound holds under <= and ==, and fails under < and >;
+    one failing bound fails the check, and the metrics pass through untouched."""
+    metrics = {"x": 1e-10}
+    assert _result("edge", [("x", 1e-10, op, 1e-10)], metrics).passed is held
+    both = _result("edge", [("x", 1e-10, op, 1e-10), ("y", 1.0, "<=", 2.0)], metrics)
+    assert both.passed is held and both.metrics is metrics
+
+
+def test_multiplication_detail_explains_column_4():
+    r = check_multiplication_matrix()
+    assert "column 4" in r.detail
+    assert f"v=1.6 the same column maximum is {r.metrics['v16_column4_max']:.2e}" in r.detail
