@@ -289,12 +289,17 @@ def turan_determinant(alpha: float, l: int, x: float) -> float:
     if l < 0:
         raise ValueError("l must be nonnegative")
     _check_alpha(alpha)
-    C = gegenbauer_matrix(alpha, l + 2, float(x))[l:].real.tolist()
-    # C_k(1) = (2+2alpha)_k / k!; math.exp raises OverflowError past the double range
+    c0, c1, c2 = gegenbauer_matrix(alpha, l + 2, float(x))[l:].real.tolist()
+    # With u = C_{l+1}(1) = (2+2alpha)_{l+1} / (l+1)!, the exact rational
+    # r = C_{l+1}(1)^2 / (C_l(1) C_{l+2}(1)) gives
+    # Delta = (c1/u) (c1 - r c0 c2/c1) / u: one transcendental scale for all
+    # three terms, and no square forms, so Delta overflows only when it leaves
+    # the double range itself.  math.exp raises OverflowError past that range.
+    s = 2.0 + 2.0 * alpha
+    r = (s + l) * (l + 2) / ((l + 1) * (s + l + 1))
     try:
-        t0, t1, t2 = (c / math.exp(lnpoch(2.0 + 2.0 * alpha, k) - math.lgamma(k + 1))
-                      for c, k in zip(C, (l, l + 1, l + 2)))
-        delta = t1 * t1 - t0 * t2
+        u = math.exp(lnpoch(s, l + 1) - math.lgamma(l + 2))
+        delta = (c1 / u) * ((c1 - r * c0 * (c2 / c1)) / u) if c1 else -r * (c0 / u) * (c2 / u)
     except OverflowError:
         delta = math.inf
     if not math.isfinite(delta):

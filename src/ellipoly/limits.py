@@ -273,7 +273,7 @@ def _realline_reports(a: float, entries, alpha: float, b_sequence) -> list[Limit
     bs = _monotone(b_sequence, -1, "b_sequence must be strictly decreasing toward 0, below a", a)
 
     def targets(d):
-        t1, w1 = _gauss_jacobi(_exact_size(d), alpha + 0.5, alpha + 0.5)
+        t1, w1 = _gauss_jacobi(_exact_size(d), float(alpha) + 0.5, float(alpha) + 0.5)
         C1 = gegenbauer_matrix(alpha, max(max(entry) for entry in entries), 2.0 * t1 - 1.0).real
         # The real-line family is exactly orthogonal: off the diagonal the limit is 0.
         return [float(np.sum(w1 * C1[n] * C1[m])) if n == m else 0.0 for n, m in entries]

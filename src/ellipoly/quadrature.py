@@ -11,6 +11,7 @@ quadratic focal map.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -78,18 +79,28 @@ def _interleave_antipodes(zhalf: np.ndarray, uradial: np.ndarray):
     return nodes.ravel(), weights.ravel()
 
 
+def _read_only(*arrays):
+    for x in arrays:
+        x.flags.writeable = False
+    return arrays
+
+
+@functools.lru_cache(maxsize=128)
 def _gauss_jacobi(k: int, a: float, b: float):
     """k-node Gauss rule of unit mass for (1 - t)^a t^b on (0, 1), by
     Golub-Welsch: nodes are the Jacobi matrix's eigenvalues and weights are
     1 / sum_{j<k} p_j(t)^2 over the orthonormal polynomials, so no Gamma or
     2^(a+b+1) factor ever forms.  Nodes are in t = (1 + x)/2, where those
     near 0 keep their relative precision; the end with the smaller exponent,
-    where the weights are most sensitive to the nodes, is built there."""
+    where the weights are most sensitive to the nodes, is built there.
+
+    Each (k, a, b) is built once per process and its arrays are handed out
+    read-only, so every rule and caller shares one table entry."""
     if k < 1:
         raise ValueError(f"a Gauss rule needs at least one node, got {k}")
     if a < b:
         u, w = _gauss_jacobi(k, b, a)
-        return 1.0 - u[::-1], w[::-1]
+        return _read_only(1.0 - u[::-1], w[::-1])
     s, n = a + b, np.arange(k, dtype=float)
     m = 2.0 * n + s
     with np.errstate(divide="ignore", invalid="ignore"):   # 0/0 at n = 0 or 1, set below
@@ -105,7 +116,7 @@ def _gauss_jacobi(k: int, a: float, b: float):
         total = np.sum(np.abs(P) ** 2, axis=0)
     # A sum out of range (inf, or nan from inf - inf) has some |p_j| > sqrt(DBL_MAX):
     # its weight is below 1/DBL_MAX against unit mass, zero in double precision.
-    return t, np.where(np.isfinite(total), 1.0 / total, 0.0)
+    return _read_only(t, np.where(np.isfinite(total), 1.0 / total, 0.0))
 
 
 def _area_rule(a: float, b: float, alpha: float, n_radial: int, n_angular: int):
@@ -117,7 +128,7 @@ def _area_rule(a: float, b: float, alpha: float, n_radial: int, n_angular: int):
     trapezoid over an even count of angles, built from half a period and
     mirrored so antipodes are exact.
     """
-    t, u = _gauss_jacobi(n_radial, alpha, 0.0)
+    t, u = _gauss_jacobi(n_radial, float(alpha), 0.0)   # a hashable table key
     r = np.sqrt(t)
     theta = 2.0 * np.pi * np.arange(n_angular // 2) / n_angular
     zhalf = a * np.outer(r, np.cos(theta)) + 1j * b * np.outer(r, np.sin(theta))

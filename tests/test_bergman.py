@@ -286,14 +286,32 @@ def test_turan_zeros_at_edges_and_nonzero_inside():
 
 
 def test_turan_raises_where_its_terms_overflow():
-    """(C_{l+1}(5/3)/C_{l+1}(1))^2 overflows from l = 328 at alpha = 0, and
-    C_l(1) = (2+2alpha)_l / l! itself at alpha = 300, l = 1000: the
-    determinant raises ValueError there, without numpy warnings, instead of
-    returning nan or letting math.exp's OverflowError through."""
-    assert math.isfinite(turan_determinant(0.0, 327, 5.0 / 3.0))
-    for alpha, l, x in ((0.0, 328, 5.0 / 3.0), (0.0, 1000, 5.0 / 3.0), (300.0, 1000, 1.0)):
+    """Delta_l(5/3) itself leaves the double range from l = 333 at alpha = 0,
+    and C_l(1) = (2+2alpha)_l / l! at alpha = 300, l = 1000: the determinant
+    raises ValueError there, without numpy warnings, instead of returning
+    nan or letting math.exp's OverflowError through."""
+    assert math.isfinite(turan_determinant(0.0, 332, 5.0 / 3.0))
+    for alpha, l, x in ((0.0, 333, 5.0 / 3.0), (0.0, 1000, 5.0 / 3.0), (300.0, 1000, 1.0)):
         with pytest.raises(ValueError, match=f"Delta_{l}.* is not finite"):
             turan_determinant(alpha, l, x)
+
+
+@pytest.mark.parametrize("l", range(328, 333))
+def test_turan_near_its_overflow_edge_matches_mpmath(l):
+    """Where (C_{l+1}(5/3)/C_{l+1}(1))^2 alone would overflow, Delta_l(5/3)
+    still matches a 30-digit mpmath value.  The two terms of Delta are about
+    1.1e5 times Delta here, so the recurrence's last-ulp errors in C_k bound
+    the relative accuracy near 1e-11."""
+    x = 5.0 / 3.0
+    with mp.workdps(30):
+        t0, t1, t2 = (mp.gegenbauer(k, 1, x) / mp.gegenbauer(k, 1, 1) for k in (l, l + 1, l + 2))
+        want = t1 * t1 - t0 * t2
+    assert abs(turan_determinant(0.0, l, x) / want - 1) <= 1e-10
+
+
+def test_turan_where_the_middle_term_vanishes():
+    """C_1(0) = 0: Delta_0(0) = -t_0 t_2 = C_2(1)^{-1} lambda = 1/4 at alpha = 0.5."""
+    assert turan_determinant(0.5, 0, 0.0) == pytest.approx(0.25, rel=1e-14)
 
 
 def test_heine_average_matches_monic(p21):

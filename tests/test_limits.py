@@ -156,6 +156,15 @@ def test_disc_reference_at_large_alpha_and_degree_is_quiet():
     assert abs(got - want) <= 1e-11 * want
 
 
+def test_rule_table_takes_a_zero_dimensional_alpha():
+    """The shared Gauss-Jacobi table is keyed by floats, so an alpha given
+    as a 0-d array gives the same values as the float."""
+    assert disc_reference(1.0, np.array(0.5), 3, 3) == disc_reference(1.0, 0.5, 3, 3)
+    got = realline_limit(2.0, 1, 1, np.array(0.5), (0.3, 0.1))
+    want = realline_limit(2.0, 1, 1, 0.5, (0.3, 0.1))
+    assert got.target == want.target and got.values == want.values
+
+
 @pytest.mark.parametrize("alpha", [1100.0, 1e4])
 @pytest.mark.parametrize("a", [1.0, 1.5])
 def test_disc_reference_past_the_old_alpha_ceiling(a, alpha):

@@ -194,10 +194,17 @@ def test_rule_needs_a_radial_node(p21):
 GAUSS_ALPHAS = [-0.9, -0.5, 0.0, 1.0, 2.5, 10.0, 100.0, 1000.0]
 
 
+@pytest.fixture
+def cold_table():
+    """Empty the process's Gauss-Jacobi table, so the rule under test is
+    built by Golub-Welsch here rather than read from an earlier test."""
+    _gauss_jacobi.cache_clear()
+
+
 @pytest.mark.parametrize("k", [1, 2, 5, 12, 96])
 @pytest.mark.parametrize("alpha", GAUSS_ALPHAS)
 @pytest.mark.parametrize("pair", ["area", "realline"])
-def test_gauss_jacobi_matches_scipy(k, alpha, pair):
+def test_gauss_jacobi_matches_scipy(k, alpha, pair, cold_table):
     """The (alpha, 0) pair of the area rules and the (alpha+1/2, alpha+1/2)
     pair of the real-line oracle against scipy's rules, mapped to t and
     scaled to unit mass."""
@@ -210,7 +217,7 @@ def test_gauss_jacobi_matches_scipy(k, alpha, pair):
 
 
 @pytest.mark.parametrize("k", [1, 2, 5, 12, 96])
-def test_gauss_legendre_matches_scipy(k):
+def test_gauss_legendre_matches_scipy(k, cold_table):
     t, w = _gauss_jacobi(k, 0.0, 0.0)
     x, ws = roots_legendre(k)
     assert np.max(np.abs(2.0 * t - 1.0 - x)) <= 1e-14
@@ -219,7 +226,7 @@ def test_gauss_legendre_matches_scipy(k):
 
 @pytest.mark.parametrize("k", [1, 2, 5, 12, 20])
 @pytest.mark.parametrize("a", [1e4, 1e6])
-def test_gauss_jacobi_exact_past_scipy_range(k, a):
+def test_gauss_jacobi_exact_past_scipy_range(k, a, cold_table):
     """Beyond scipy's range, every monomial t^j with j < 2k integrates to
     B(j+1, a+1) / B(1, a+1), by mpmath."""
     t, w = _gauss_jacobi(k, a, 0.0)
@@ -228,7 +235,7 @@ def test_gauss_jacobi_exact_past_scipy_range(k, a):
         assert abs(math.fsum(w * t ** j) / want - 1) <= 1e-13, j
 
 
-def test_gauss_jacobi_weights_stay_finite_at_large_alpha_and_k():
+def test_gauss_jacobi_weights_stay_finite_at_large_alpha_and_k(cold_table):
     """Nodes whose polynomial sum leaves the double range get weight 0
     (their true weight is below 1/DBL_MAX), without a numpy warning."""
     with warnings.catch_warnings():
@@ -236,6 +243,38 @@ def test_gauss_jacobi_weights_stay_finite_at_large_alpha_and_k():
         t, w = _gauss_jacobi(400, 1e4, 0.0)
     assert np.all(np.isfinite(w)) and np.all(w >= 0.0)
     assert math.fsum(w) == pytest.approx(1.0, abs=1e-13)
+
+
+def test_gauss_jacobi_table_hands_out_one_rule_per_triple():
+    """A repeat call returns the same array objects, from a bounded table."""
+    t, w = _gauss_jacobi(12, 0.5, 0.0)
+    again = _gauss_jacobi(12, 0.5, 0.0)
+    assert again[0] is t and again[1] is w
+    assert _gauss_jacobi.cache_info().maxsize is not None
+
+
+@pytest.mark.parametrize("a, b", [(0.5, 0.0), (0.0, 0.5), (1.5, 1.5)])
+def test_gauss_jacobi_table_is_read_only_and_bit_identical(a, b):
+    """Both arrays refuse writes, on the a >= b branch and on the mirrored
+    a < b one, and equal a fresh Golub-Welsch build bit for bit."""
+    t, w = _gauss_jacobi(9, a, b)
+    for x in (t, w):
+        assert not x.flags.writeable
+        with pytest.raises(ValueError):
+            x[0] = 0.5
+    t0, w0 = _gauss_jacobi.__wrapped__(9, a, b)
+    assert t.tobytes() == t0.tobytes() and w.tobytes() == w0.tobytes()
+
+
+@pytest.mark.parametrize("make", [lambda p: area_measure(p, 0.5), chebyshev_t_measure,
+                                  lambda p: b_plus_measure(p, 0.5), chebyshev_v_measure])
+def test_writing_into_a_rule_leaves_the_next_build_unchanged(p21, make):
+    rule = build_rule(make(p21), 7, 14)
+    nodes, weights = rule.nodes.copy(), rule.weights.copy()
+    rule.nodes[:] = 0.0
+    rule.weights[:] = 0.0
+    again = build_rule(make(p21), 7, 14)
+    assert np.array_equal(again.nodes, nodes) and np.array_equal(again.weights, weights)
 
 
 def test_rule_records_its_shape(p21):
