@@ -15,7 +15,6 @@ from .bergman import (
     bergman_kernel,
     christoffel_entry_closed,
     christoffel_norm_monic,
-    christoffel_poly,
     christoffel_values,
     heine_check,
     hessenberg,
@@ -71,7 +70,6 @@ from .polynomials import (
     chebyshev_v,
     chebyshev_w,
     eval_family,
-    eval_gegenbauer,
     eval_terminating_2f1,
     family_matrix,
     gegenbauer,
@@ -87,8 +85,6 @@ from .quadrature import (
     QuadratureRule,
     build_rule,
     contour_check,
-    inner_product,
-    lp_norm,
     moment,
     moment_table,
 )

@@ -31,7 +31,6 @@ __all__ = [
     "HessenbergMatrix",
     "orthonormal_values",
     "bergman_kernel",
-    "christoffel_poly",
     "christoffel_values",
     "christoffel_norm_monic",
     "christoffel_entry_closed",
@@ -152,15 +151,6 @@ def christoffel_values(basis: ChristoffelBasis, nmax: int, z) -> np.ndarray:
     _, R = _charge_qr(basis, nmax)
     P = orthonormal_values(basis.alpha, basis.params, nmax, z)
     return np.linalg.solve(R.T, P.reshape(nmax + 1, -1)).reshape(P.shape)
-
-
-def christoffel_poly(basis: ChristoffelBasis, N: int, z):
-    """The degree-N Christoffel-transformed orthonormal polynomial at z."""
-    if N < 0:
-        raise ValueError("degree must be nonnegative")
-    vals = christoffel_values(basis, N, z)
-    val = vals[N]
-    return complex(val) if np.ndim(val) == 0 else val
 
 
 def christoffel_norm_monic(basis: ChristoffelBasis, N: int) -> float:
@@ -288,7 +278,6 @@ def turan_determinant(alpha: float, l: int, x: float) -> float:
     """
     if l < 0:
         raise ValueError("l must be nonnegative")
-    _check_alpha(alpha)
     c0, c1, c2 = gegenbauer_matrix(alpha, l + 2, float(x))[l:].real.tolist()
     # With u = C_{l+1}(1) = (2+2alpha)_{l+1} / (l+1)!, the exact rational
     # r = C_{l+1}(1)^2 / (C_l(1) C_{l+2}(1)) gives

@@ -77,7 +77,7 @@ def _family(name: str, alpha: float | None) -> PolynomialFamily:
     return make(alpha) if needs_alpha else make()
 
 
-def _meta(args, p=None, rule_shape=None, convention: str | None = None) -> dict:
+def _meta(p=None, rule_shape=None, convention: str | None = None) -> dict:
     meta = {"version": __version__}
     if p is not None:
         meta["params"] = to_jsonable(p)
@@ -109,7 +109,7 @@ def _cmd_eval(args) -> int:
     arg = z / p.c if args.scale_by_c else z
     val = eval_family(fam, args.n, arg)
     payload = {
-        "meta": _meta(args, p),
+        "meta": _meta(p),
         "data": {"family": args.family, "alpha": args.alpha, "n": args.n,
                  "z": z, "argument": arg, "value": val},
     }
@@ -127,7 +127,7 @@ def _cmd_gram(args) -> int:
     res = gram_matrix(fam, measure, args.nmax, rule=rule)
     convention = "normalized" if measure.normalized else "flat"
     payload = {
-        "meta": _meta(args, p, rule.shape, convention=convention),
+        "meta": _meta(p, rule.shape, convention=convention),
         "data": {
             "family": args.family,
             "alpha": args.alpha,
@@ -159,7 +159,7 @@ def _cmd_norms(args) -> int:
         _emit(args, write_csv(["n", "norm"], list(zip(ns, values))))
         return 0
     payload = {
-        "meta": _meta(args, p, convention=convention),
+        "meta": _meta(p, convention=convention),
         "data": {"family": args.family, "alpha": args.alpha,
                  "n": ns, "norm": values},
     }
@@ -176,7 +176,7 @@ def _cmd_hessenberg(args) -> int:
     H = hessenberg(basis, args.nmax, strategy=args.strategy)
     d = bandwidth(H, args.tol)
     payload = {
-        "meta": _meta(args, p, H.rule_shape, convention="normalized"),
+        "meta": _meta(p, H.rule_shape, convention="normalized"),
         "data": {"basis": H.basis_label, "nmax": H.nmax,
                  "strategy": H.strategy, "entries": H.entries,
                  "bandwidth": d, "bandwidth_tol": args.tol},
@@ -194,9 +194,9 @@ def _cmd_selberg(args) -> int:
         raise ValueError(f"Z_N = exp({res.log_product!r}) overflows the double "
                          f"range; only log Z_N is representable") from None
     payload = {
-        "meta": _meta(args, p, convention="normalized"),
+        "meta": _meta(p, convention="normalized"),
         "data": {
-            "alpha": res.alpha, "N": res.N, "sign": res.sign,
+            "alpha": res.alpha, "N": res.N,
             "log_closed": res.log_closed, "log_product": res.log_product,
             "value": value,
             "direct_value": res.direct_value,
@@ -224,7 +224,7 @@ def _cmd_limits(args) -> int:
         _emit(args, write_csv(["parameter", "residual"], rows))
         return 0
     payload = {
-        "meta": _meta(args),
+        "meta": _meta(),
         "data": {
             "regime": rep.regime, "n": rep.n, "m": rep.m,
             "parameters": rep.parameters, "values": rep.values,
@@ -242,7 +242,7 @@ def _cmd_contour(args) -> int:
     val = contour_check(p, args.n, args.m)
     expected = _contour_closed(p, args.n) if args.n == args.m else 0j
     payload = {
-        "meta": _meta(args, p),
+        "meta": _meta(p),
         "data": {"n": args.n, "m": args.m, "value": val, "expected": expected,
                  "deviation": abs(val - expected)},
     }

@@ -28,7 +28,6 @@ __all__ = [
     "chebyshev_w",
     "jacobi_half",
     "hermite",
-    "eval_gegenbauer",
     "gegenbauer_matrix",
     "eval_family",
     "family_matrix",
@@ -36,7 +35,6 @@ __all__ = [
     "gegenbauer_norm",
     "recurrence_coeffs",
     "eval_terminating_2f1",
-    "lnpoch",
 ]
 
 
@@ -126,6 +124,8 @@ def _forward(nmax: int, z, first, step) -> np.ndarray:
     part is zero and a complex otherwise, which costs about a fifth of a step
     on a 0-d array; past the double range it gives inf and then nan without
     warnings.  An array of points is stepped a row at a time."""
+    if nmax < 0:
+        raise ValueError(f"degree must be nonnegative, got {nmax}")
     z, point = _as_complex(z)
     out = np.empty((nmax + 1,) + z.shape, dtype=complex)
     if point:
@@ -147,19 +147,10 @@ def gegenbauer_matrix(alpha: float, nmax: int, z) -> np.ndarray:
     Returns an array of shape (nmax+1,) + shape(z).  Forward recurrence:
     C_{k+1} = (2(k+1+alpha) z C_k - (k+1+2 alpha) C_{k-1}) / (k+1).
     """
+    _check_alpha(alpha)
     return _forward(
         nmax, z, lambda z: 2.0 * (1.0 + alpha) * z,
         lambda k, z, ck, cm: (2.0 * (k + 1 + alpha) * z * ck - (k + 1 + 2 * alpha) * cm) / (k + 1))
-
-
-def eval_gegenbauer(alpha: float, n: int, z):
-    """C_n^{(1+alpha)}(z), scalar or elementwise on arrays."""
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
-    _check_alpha(alpha)
-    zz, scalar = _as_complex(z)
-    val = gegenbauer_matrix(alpha, n, zz)[n]
-    return complex(val) if scalar else val
 
 
 # Degree-one members of the Chebyshev kinds; all four share the step
@@ -174,8 +165,6 @@ _CHEBYSHEV_FIRST = {
 
 def family_matrix(family: PolynomialFamily, nmax: int, z) -> np.ndarray:
     """Values of family members 0..nmax at z; shape (nmax+1,) + shape(z)."""
-    if nmax < 0:
-        raise ValueError("nmax must be nonnegative")
     kind = family.kind
     if kind == FamilyKind.GEGENBAUER:
         return gegenbauer_matrix(family.alpha, nmax, z)
@@ -206,8 +195,6 @@ def family_matrix(family: PolynomialFamily, nmax: int, z) -> np.ndarray:
 
 def eval_family(family: PolynomialFamily, n: int, z):
     """Evaluate the degree-n member of the family at z."""
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
     zz, scalar = _as_complex(z)
     val = family_matrix(family, n, zz)[n]
     return complex(val) if scalar else val
@@ -239,10 +226,10 @@ def gegenbauer_coeffs(alpha: float, n: int) -> np.ndarray:
 
 def _gegenbauer_norms(alpha: float, p: EllipseParams, nmax: int) -> np.ndarray:
     """h_0..h_nmax from one recurrence pass, non-finite past the double range."""
-    _check_alpha(alpha)
+    C = gegenbauer_matrix(alpha, nmax, p.x_star).real
     k = np.arange(nmax + 1)
     with np.errstate(over="ignore", invalid="ignore"):
-        return (1.0 + alpha) / (1.0 + alpha + k) * gegenbauer_matrix(alpha, nmax, p.x_star).real
+        return (1.0 + alpha) / (1.0 + alpha + k) * C
 
 
 def gegenbauer_norm(alpha: float, p: EllipseParams, n: int) -> float:
@@ -252,8 +239,6 @@ def gegenbauer_norm(alpha: float, p: EllipseParams, n: int) -> float:
 
     Raises ValueError when h_n is beyond the double range.
     """
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
     h = float(_gegenbauer_norms(alpha, p, n)[n])
     if not math.isfinite(h):
         raise ValueError(f"h_{n} is not finite for alpha = {alpha}: C_{n}(x_star) overflows")

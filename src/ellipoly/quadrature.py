@@ -25,15 +25,13 @@ from .geometry import (
     joukowsky,
     quadratic_map,
 )
-from .polynomials import _forward, eval_gegenbauer
+from .polynomials import _forward, gegenbauer_matrix
 
 __all__ = [
     "QuadratureRule",
     "build_rule",
-    "inner_product",
     "moment",
     "moment_table",
-    "lp_norm",
     "contour_check",
 ]
 
@@ -213,16 +211,6 @@ def _exact_rule(measure: Measure, degree: int) -> QuadratureRule:
     return build_rule(measure, k, 2 * k)
 
 
-def inner_product(f, g, rule: QuadratureRule) -> complex:
-    """<f, g> = integral of f(z) conj(g(z)) against the rule's measure.
-
-    f and g may be callables or precomputed arrays over rule.nodes.
-    """
-    fv = f(rule.nodes) if callable(f) else np.asarray(f)
-    gv = g(rule.nodes) if callable(g) else np.asarray(g)
-    return complex(np.sum(rule.weights * fv * np.conj(gv)))
-
-
 def moment(p_exp: int, q_exp: int, rule: QuadratureRule) -> complex:
     """<z^p, z^q> against the rule's measure.
 
@@ -267,14 +255,6 @@ def moment_table(pmax: int, rule: QuadratureRule) -> np.ndarray:
     return M
 
 
-def lp_norm(f, p_exp: float, rule: QuadratureRule) -> float:
-    """(sum_k w_k |f(z_k)|^p)^(1/p) against the rule's measure."""
-    if not p_exp > 0:
-        raise ValueError("p exponent must be positive")
-    fv = f(rule.nodes) if callable(f) else np.asarray(f)
-    return float(np.sum(rule.weights * np.abs(fv) ** p_exp) ** (1.0 / p_exp))
-
-
 def contour_check(p: EllipseParams, n: int, m: int) -> complex:
     """Contour integral linking the first-kind family to its planar norms:
 
@@ -305,7 +285,7 @@ def _contour_values(p: EllipseParams, n: int, ms) -> np.ndarray:
     w = p.r * np.exp(1j * theta)
     z = joukowsky(p, w)
     # d/dw T_{n+1}(z/c) = (n+1) U_n(z/c) * z'(w)/c,  z'(w) = (1 - c^2/w^2)/2.
-    un = eval_gegenbauer(0.0, n, z / p.c)
+    un = gegenbauer_matrix(0.0, n, z / p.c)[n]
     dT = (n + 1) * un * (1.0 - (p.c / w) ** 2) / (2.0 * p.c)
     # T_{m+1}(z(w)/c) on |w| = r via the Laurent form ((w/c)^k + (c/w)^k)/2.
     k = ms[:, None] + 1

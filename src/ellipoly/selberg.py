@@ -87,9 +87,9 @@ def selberg_direct(alpha: float, p: EllipseParams, N: int) -> float:
 class SelbergResult:
     """The three evaluations of Z_N and their discrepancies.
 
-    log_closed/log_product are natural logs (sign is always +1: every
-    factor of the closed form is positive for alpha > -1); direct_value
-    is on the linear scale and only present for N <= 2.
+    log_closed/log_product are natural logs (Z_N > 0: every factor of the
+    closed form is positive for alpha > -1); direct_value is on the linear
+    scale and only present for N <= 2.
     """
 
     alpha: float
@@ -98,7 +98,6 @@ class SelbergResult:
     log_closed: float
     log_product: float
     direct_value: float | None
-    sign: int
     log_rel_discrepancy: float
     direct_rel_discrepancy: float | None
 
@@ -115,6 +114,6 @@ def selberg_compare(alpha: float, p: EllipseParams, N: int,
         dv = selberg_direct(alpha, p, N)
         drel = abs(dv - math.exp(lp)) / abs(math.exp(lp))
     return SelbergResult(alpha=alpha, params=p, N=N, log_closed=lc,
-                         log_product=lp, direct_value=dv, sign=1,
+                         log_product=lp, direct_value=dv,
                          log_rel_discrepancy=log_rel,
                          direct_rel_discrepancy=drel)

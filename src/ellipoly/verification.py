@@ -41,7 +41,7 @@ from .polynomials import (
 from .quadrature import _contour_closed, _contour_values, _exact_rule, moment_table
 from .selberg import selberg_compare, selberg_direct
 
-__all__ = ["CheckResult", "run_all", "CHECKS"]
+__all__ = ["CheckResult", "run_all"]
 
 P21 = make_params(2.0, 1.0)
 

@@ -20,10 +20,10 @@ from ellipoly import (
     elliptic_to_cartesian,
     flat_measure,
     build_rule,
-    eval_gegenbauer,
     focal_j,
     gegenbauer,
     gegenbauer_coeffs,
+    gegenbauer_matrix,
     inverse_quadratic_map,
     joukowsky,
     log_monic_norm,
@@ -44,13 +44,20 @@ def test_every_alpha_entry_point_takes_a_finite_alpha_above_minus_one(p21, alpha
              lambda: build_rule(area_measure(p21, alpha)),
              lambda: b_minus_measure(p21, alpha),
              lambda: log_monic_norm(alpha, p21, 3),
-             lambda: eval_gegenbauer(alpha, 3, 0.5),
+             lambda: gegenbauer_matrix(alpha, 3, 0.5),
              lambda: gegenbauer_coeffs(alpha, 3),
              lambda: gegenbauer(alpha),
              lambda: GegenbauerBasis(alpha, p21),
              lambda: ChristoffelBasis(alpha, p21, 1.5))
     for call in calls:
         with pytest.raises(ValueError, match="alpha must exceed -1"):
+            call()
+
+
+def test_negative_degree_is_a_value_error(p21):
+    for call in (lambda: gegenbauer_matrix(0.0, -1, 0.5),
+                 lambda: orthonormal_values(0.0, p21, -1, 0.1)):
+        with pytest.raises(ValueError, match="degree must be nonnegative"):
             call()
 
 

@@ -20,8 +20,6 @@ from ellipoly import (
     contour_check,
     derived_params,
     flat_measure,
-    inner_product,
-    lp_norm,
     make_params,
     moment,
     moment_table,
@@ -131,25 +129,6 @@ def test_gauss_exactness_under_refinement(p21):
 def test_odd_angular_count_rejected(p21):
     with pytest.raises(ValueError):
         build_rule(area_measure(p21, 0.0), n_angular=383)
-
-
-def test_inner_product_conjugate_symmetry(p21):
-    rule = build_rule(area_measure(p21, 0.5))
-    f = lambda z: z**2 + 0.3j * z
-    g = lambda z: 1.0 + z
-    assert inner_product(f, g, rule) == pytest.approx(
-        np.conj(inner_product(g, f, rule)))
-
-
-def test_lp_norm_values(p21):
-    rule = build_rule(area_measure(p21, 0.0))
-    assert lp_norm(lambda z: np.ones_like(z), 2.0, rule) == pytest.approx(1.0)
-    # ||z||_2 = sqrt(<z,z>) = sqrt(5)/2
-    assert lp_norm(lambda z: z, 2.0, rule) == pytest.approx(
-        math.sqrt(5.0) / 2.0, rel=1e-13)
-    # p = 1 is just the integral of |z|
-    direct = np.sum(rule.weights * np.abs(rule.nodes))
-    assert lp_norm(lambda z: z, 1.0, rule) == pytest.approx(direct)
 
 
 def test_contour_identity_anchors(p21):
