@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -21,7 +22,13 @@ import numpy as np
 
 from .geometry import EllipseParams, _check_alpha, area_measure
 from .norms import _arnoldi, monic_factor, monic_norm
-from .polynomials import _gegenbauer_norms, _recurrence_table, gegenbauer_matrix, lnpoch
+from .polynomials import (
+    _gegenbauer_norms,
+    _gegenbauer_rows,
+    _recurrence_table,
+    gegenbauer_matrix,
+    lnpoch,
+)
 from .quadrature import _exact_rule
 from .selberg import _ensemble_weights
 
@@ -72,13 +79,9 @@ class ChristoffelBasis:
 
 def orthonormal_values(alpha: float, p: EllipseParams, nmax: int, z) -> np.ndarray:
     """Matrix of orthonormal basis values p_k(z), k = 0..nmax; rows are degrees."""
-    return _orthonormal(alpha, p, _gegenbauer_norms(alpha, p, nmax), z)
-
-
-def _orthonormal(alpha: float, p: EllipseParams, h: np.ndarray, z) -> np.ndarray:
-    """orthonormal_values through degree h.size - 1, from the norm ladder h."""
+    h = np.array(_gegenbauer_norms(alpha, p, nmax))
     zz = np.asarray(z, dtype=complex)
-    C = gegenbauer_matrix(alpha, h.size - 1, zz / p.c)
+    C = gegenbauer_matrix(alpha, nmax, zz / p.c)
     return C / np.sqrt(h).reshape(h.shape + (1,) * zz.ndim)
 
 
@@ -97,11 +100,14 @@ def bergman_kernel(alpha: float, p: EllipseParams, N: int, z, w) -> complex:
 
 
 def _charge_values(basis: ChristoffelBasis, through: int):
-    """p_k(v) for k <= through, the kernel ladder kappa_i = sum_{j<i}|p_j(v)|^2
-    and the norm ladder h_0..h_through they were read from."""
-    h = _gegenbauer_norms(basis.alpha, basis.params, through)
-    pv = _orthonormal(basis.alpha, basis.params, h, basis.v)
-    kappa = np.concatenate(([0.0], np.cumsum(np.abs(pv) ** 2)))
+    """p_k(v) for k <= through and the kernel ladder kappa_i = sum_{j<i}|p_j(v)|^2,
+    as tuples of Python numbers, and the norm ladder h_0..h_through they were
+    read from."""
+    p = basis.params
+    h = _gegenbauer_norms(basis.alpha, p, through)
+    C = _gegenbauer_rows(basis.alpha, through, basis.v / p.c)
+    pv = tuple(ck / math.sqrt(hk) for ck, hk in zip(C, h))
+    kappa = tuple(itertools.accumulate((abs(x) * abs(x) for x in pv), initial=0.0))
     return pv, kappa, h
 
 
@@ -113,8 +119,7 @@ def _closed_entries(alpha: float, p: EllipseParams, nmax: int) -> np.ndarray:
     finite, where C_{n+1}(x_star) leaves the double range (n = 639 at p(2,1),
     alpha 0).
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        a, b = _recurrence_table(alpha, p, nmax - 1)
+    a, b = (np.array(t) for t in _recurrence_table(alpha, p, nmax - 1))
     bad = ~(np.isfinite(a) & np.isfinite(b))
     if bad.any():
         n = int(np.argmax(bad))
@@ -147,10 +152,19 @@ def christoffel_values(basis: ChristoffelBasis, nmax: int, z) -> np.ndarray:
 
     With R from _charge_qr the family is p R^{-1}, so its values solve
     R^T P(1)(z) = p(z): no division by v - z, and z = v is an ordinary point.
+    R is the QR factor of a tridiagonal matrix, so it is zero past its second
+    superdiagonal and R^T x = p is one forward sweep of three terms per row.
     """
     _, R = _charge_qr(basis, nmax)
-    P = orthonormal_values(basis.alpha, basis.params, nmax, z)
-    return np.linalg.solve(R.T, P.reshape(nmax + 1, -1)).reshape(P.shape)
+    d0, d1, d2 = (np.diagonal(R, k) for k in range(3))
+    X = orthonormal_values(basis.alpha, basis.params, nmax, z)
+    for n in range(nmax + 1):
+        if n >= 2:
+            X[n] -= d2[n - 2] * X[n - 2]
+        if n >= 1:
+            X[n] -= d1[n - 1] * X[n - 1]
+        X[n] /= d0[n]
+    return X
 
 
 def christoffel_norm_monic(basis: ChristoffelBasis, N: int) -> float:
@@ -235,14 +249,12 @@ def bandwidth(H: HessenbergMatrix, tol: float) -> int:
 @functools.lru_cache(maxsize=256)
 def _column_ladder(basis: ChristoffelBasis, n: int):
     """Everything the closed entries of column n read, computed once per
-    (basis, n) and returned read-only: the charge values and kernel ladder
-    through degree n + 2 and the recurrence coefficients through index n,
-    both from one norm ladder (rows past l + 2 do not change rows before it)."""
+    (basis, n) as tuples, which nobody can write to: the charge values and
+    kernel ladder through degree n + 2 and the recurrence coefficients through
+    index n, both from one norm ladder (rows past l + 2 do not change rows
+    before it)."""
     pv, kv, h = _charge_values(basis, n + 2)
-    ladder = (pv, kv) + _recurrence_table(basis.alpha, basis.params, n, h)
-    for arr in ladder:
-        arr.flags.writeable = False
-    return ladder
+    return (pv, kv) + _recurrence_table(basis.alpha, basis.params, n, h)
 
 
 def christoffel_entry_closed(basis: ChristoffelBasis, l: int, n: int) -> complex:
@@ -260,9 +272,9 @@ def christoffel_entry_closed(basis: ChristoffelBasis, l: int, n: int) -> complex
     pi = pv                    # pi_k = p_k(v)
     pim1 = pi[l - 1] if l >= 1 else 0j
 
-    inner = ((v * kv[l] + b_l * pim1 * np.conj(pi[l])
-              + b_l1 * pi[l] * np.conj(pi[l + 1])) * np.conj(pi[l + 1])
-             - (a_l1 * np.conj(pi[l]) + b_l2 * np.conj(pi[l + 2])) * kv[l + 1])
+    inner = ((v * kv[l] + b_l * pim1 * pi[l].conjugate()
+              + b_l1 * pi[l] * pi[l + 1].conjugate()) * pi[l + 1].conjugate()
+             - (a_l1 * pi[l].conjugate() + b_l2 * pi[l + 2].conjugate()) * kv[l + 1])
     pref = pi[n + 1] / math.sqrt(kv[n + 1] * kv[n + 2] * kv[l + 1] * kv[l + 2])
     return complex(pref * inner)
 
@@ -278,7 +290,7 @@ def turan_determinant(alpha: float, l: int, x: float) -> float:
     """
     if l < 0:
         raise ValueError("l must be nonnegative")
-    c0, c1, c2 = gegenbauer_matrix(alpha, l + 2, float(x))[l:].real.tolist()
+    c0, c1, c2 = _gegenbauer_rows(alpha, l + 2, float(x))[l:]
     # With u = C_{l+1}(1) = (2+2alpha)_{l+1} / (l+1)!, the exact rational
     # r = C_{l+1}(1)^2 / (C_l(1) C_{l+2}(1)) gives
     # Delta = (c1/u) (c1 - r c0 c2/c1) / u: one transcendental scale for all

@@ -10,6 +10,7 @@ ones such as a point-charge weight included.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -31,10 +32,10 @@ from .geometry import (
 from .polynomials import (
     FamilyKind,
     PolynomialFamily,
-    _gegenbauer_norms,
+    _gegenbauer_h,
+    _gegenbauer_rows,
     eval_terminating_2f1,
     family_matrix,
-    gegenbauer_matrix,
     gegenbauer_norm,
     lnpoch,
 )
@@ -73,58 +74,87 @@ def canonical_measure(family: PolynomialFamily, p: EllipseParams) -> Measure:
     raise ValueError(f"{k.value} has no canonical planar weight")
 
 
-def _norm_table(family: PolynomialFamily, p: EllipseParams, nmax: int) -> np.ndarray:
-    """h_0..h_nmax of the family (argument z/c) under its canonical weight and
-    convention, from one pass; entries past the double range are non-finite.
+def _norm_ladder(family: PolynomialFamily, p: EllipseParams, nmax: int):
+    """What _norm_entry reads for every degree up to nmax, from one pass.
 
-    P_n^{(alpha+1/2, -+1/2)} under dB^-+ (normalized, a and c of the
-    measure's own ellipse) read rows 2n and 2n+1 of one C_k^{(1+alpha)}(a/c)
-    ladder; the flat Chebyshev norms are powers of q = r/c.
+    Gegenbauer: C_k^{(1+alpha)}(x_star) for k <= nmax.  P_n^{(alpha+1/2, -+1/2)}
+    under dB^-+ (normalized, a and c of the measure's own ellipse): rows
+    k <= 2 nmax + 1 of one C_k^{(1+alpha)}(a/c) ladder, and
+    log((1/2)_m / (1+alpha)_m) for m <= nmax + 1, summed term by term.  The
+    flat Chebyshev norms are powers of q = r/c and read no ladder.
     """
     k = family.kind
     if k == FamilyKind.GEGENBAUER:
-        return _gegenbauer_norms(family.alpha, p, nmax)
-    n = np.arange(nmax + 1.0)
+        return _gegenbauer_rows(family.alpha, nmax, p.x_star)
+    if k == FamilyKind.JACOBI_HALF:
+        al = family.alpha
+        log_ratio = list(itertools.accumulate(
+            (math.log((0.5 + m) / (al + 1.0 + m)) for m in range(nmax + 1)), initial=0.0))
+        return _gegenbauer_rows(al, 2 * nmax + 1, p.a / p.c), log_ratio
+    if k == FamilyKind.HERMITE:
+        raise ValueError(f"{k.value} has no canonical planar weight")
+    return None
+
+
+def _norm_entry(family: PolynomialFamily, p: EllipseParams, n: int, ladder) -> float:
+    """h_n of the family (argument z/c) under its canonical weight and
+    convention, from a _norm_ladder through degree n or beyond; inf or nan
+    past the double range (a Python power raises OverflowError there)."""
+    k = family.kind
+    if k == FamilyKind.GEGENBAUER:
+        return _gegenbauer_h(family.alpha, n, ladder[n])
+    if k == FamilyKind.JACOBI_HALF:
+        al, (C, log_ratio) = family.alpha, ladder
+        if family.sign == -1:
+            return math.exp(2.0 * log_ratio[n]) * (1.0 + al) / (1.0 + al + 2 * n) * C[2 * n]
+        return (2.0 * p.c * (1.0 + al) * (2.0 + al) / (p.a * (2.0 + al + 2 * n))
+                * math.exp(2.0 * log_ratio[n + 1]) * C[2 * n + 1])
     q = p.r / p.c
-    with np.errstate(all="ignore"):
-        if k == FamilyKind.JACOBI_HALF:
-            al = family.alpha
-            C = gegenbauer_matrix(al, 2 * nmax + 1, p.a / p.c).real
-            # ((1/2)_m / (1+alpha)_m)^2 for m = 0..nmax+1, summed in logs
-            ratio = np.concatenate(([1.0], (0.5 + n) / (al + 1.0 + n)))
-            r2 = np.exp(2.0 * np.cumsum(np.log(ratio)))
-            if family.sign == -1:
-                return r2[:-1] * (1.0 + al) / (1.0 + al + 2 * n) * C[0::2]
-            pref = 2.0 * p.c * (1.0 + al) * (2.0 + al) / (p.a * (2.0 + al + 2 * n))
-            return pref * r2[1:] * C[1::2]
+    try:
         if k == FamilyKind.CHEBYSHEV_T:
-            h = math.pi / (4.0 * n) * (q ** (2 * n) - q ** (-2 * n))
-            h[0] = 2.0 * math.pi * math.log(q)
-            return h
+            if n == 0:
+                return 2.0 * math.pi * math.log(q)
+            return math.pi / (4.0 * n) * (q ** (2 * n) - q ** (-2 * n))
         if k == FamilyKind.CHEBYSHEV_U:
             return math.pi * p.c ** 2 / (4.0 * (n + 1)) * (q ** (2 * n + 2) - q ** (-2 * n - 2))
-        if k in (FamilyKind.CHEBYSHEV_V, FamilyKind.CHEBYSHEV_W):
-            # V and W share the same norm; the weights are mirror images.
-            return math.pi * p.c / (1.0 + 2 * n) * (q ** (2 * n + 1) - q ** (-2 * n - 1))
-    raise ValueError(f"{k.value} has no canonical planar weight")
+        # V and W share the same norm; the weights are mirror images.
+        return math.pi * p.c / (1.0 + 2 * n) * (q ** (2 * n + 1) - q ** (-2 * n - 1))
+    except OverflowError:
+        return math.inf
 
 
-def _closed_norms(family: PolynomialFamily, p: EllipseParams, nmax: int,
-                  normalized: bool | None = None) -> np.ndarray:
-    """closed_norm for every degree 0..nmax, from one table."""
-    if nmax < 0:
-        raise ValueError("degree must be nonnegative")
-    h = _norm_table(family, p, nmax)
-    bad = np.flatnonzero(~np.isfinite(h))
-    if bad.size:
-        raise ValueError(f"{family.kind.value} norm h_{nmax} is not finite: the "
-                         f"norms overflow the double range from degree {bad[0]}")
+def _norm_table(family: PolynomialFamily, p: EllipseParams, nmax: int) -> list[float]:
+    """h_0..h_nmax of the family, as Python floats, from one _norm_ladder;
+    entries past the double range are non-finite, and so is every later one."""
+    ladder = _norm_ladder(family, p, nmax)
+    return [_norm_entry(family, p, n, ladder) for n in range(nmax + 1)]
+
+
+def _in_convention(h, family: PolynomialFamily, p: EllipseParams, normalized: bool | None):
+    """Norms h in the canonical convention, converted to the forced one."""
     if normalized is None:
         return h
     measure = canonical_measure(family, p)
     if normalized == measure.normalized:
         return h
     return h * measure.flat_factor if measure.normalized else h / measure.flat_factor
+
+
+def _overflow(family: PolynomialFamily, n: int, first: int) -> ValueError:
+    return ValueError(f"{family.kind.value} norm h_{n} is not finite: the norms "
+                      f"overflow the double range from degree {first}")
+
+
+def _closed_norms(family: PolynomialFamily, p: EllipseParams, nmax: int,
+                  normalized: bool | None = None) -> np.ndarray:
+    """closed_norm for every degree 0..nmax, from one table, as an array."""
+    if nmax < 0:
+        raise ValueError("degree must be nonnegative")
+    h = np.array(_norm_table(family, p, nmax))
+    bad = np.flatnonzero(~np.isfinite(h))
+    if bad.size:
+        raise _overflow(family, nmax, bad[0])
+    return _in_convention(h, family, p, normalized)
 
 
 def closed_norm(family: PolynomialFamily, p: EllipseParams, n: int,
@@ -137,7 +167,15 @@ def closed_norm(family: PolynomialFamily, p: EllipseParams, n: int,
     pass True/False to force a convention, converted via Measure.flat_factor.
     Raises ValueError when the norm is not finite in double precision.
     """
-    return float(_closed_norms(family, p, n, normalized)[n])
+    if n < 0:
+        raise ValueError("degree must be nonnegative")
+    ladder = _norm_ladder(family, p, n)
+    h = _norm_entry(family, p, n, ladder)
+    if not math.isfinite(h):
+        # once an entry leaves the double range every later one stays out
+        raise _overflow(family, n, next(k for k in range(n + 1) if not math.isfinite(
+            _norm_entry(family, p, k, ladder))))
+    return _in_convention(h, family, p, normalized)
 
 
 @dataclass(frozen=True)

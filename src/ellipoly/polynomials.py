@@ -111,34 +111,44 @@ def lnpoch(a: float, n: int) -> float:
     return math.lgamma(a + n) - math.lgamma(a)
 
 
-def _as_complex(z):
-    arr = np.asarray(z, dtype=complex)
-    return arr, arr.ndim == 0
-
-
-def _forward(nmax: int, z, first, step) -> np.ndarray:
+def _forward(nmax: int, z, first, step):
     """Rows 0..nmax of a three-term family by forward recurrence: row 0 is 1,
     row 1 is first(z) and row k+1 is step(k, z, row k, row k-1).
 
     A single point is stepped on a Python number, a float when its imaginary
-    part is zero and a complex otherwise, which costs about a fifth of a step
-    on a 0-d array; past the double range it gives inf and then nan without
-    warnings.  An array of points is stepped a row at a time."""
+    part is zero and a complex otherwise, and its rows come back as a list of
+    those numbers: no array is made, and past the double range they go to inf
+    and then nan without warnings.  An array of points is stepped a row at a
+    time into an array of shape (nmax+1,) + shape(z)."""
     if nmax < 0:
         raise ValueError(f"degree must be nonnegative, got {nmax}")
-    z, point = _as_complex(z)
-    out = np.empty((nmax + 1,) + z.shape, dtype=complex)
-    if point:
-        z = z.real.item() if z.imag == 0 else z.item()
-    out[0] = 1.0
+    # the isinstance test spares Python numbers np.ndim's conversion to an array
+    if isinstance(z, (float, complex, int)) or np.ndim(z) == 0:
+        z = complex(z)
+        z = z.real if z.imag == 0 else z
+        rows = [1.0] * (nmax + 1)
+    else:
+        z = np.asarray(z, dtype=complex)
+        rows = np.empty((nmax + 1,) + z.shape, dtype=complex)
+        rows[0] = 1.0
     if nmax >= 1:
-        # the last two rows ride in locals, which is cheaper than indexing out
+        # the last two rows ride in locals, which is cheaper than indexing rows
         prev, cur = 1.0, first(z)
-        out[1] = cur
+        rows[1] = cur
         for k in range(1, nmax):
             prev, cur = cur, step(k, z, cur, prev)
-            out[k + 1] = cur
-    return out
+            rows[k + 1] = cur
+    return rows
+
+
+def _gegenbauer_rows(alpha: float, nmax: int, z):
+    """C_k^{(1+alpha)}(z) for k = 0..nmax, as _forward returns them: a list
+    of Python numbers at a single point, an array for an array of points."""
+    _check_alpha(alpha)
+    alpha = float(alpha)   # a numpy scalar would make every step numpy scalar arithmetic
+    return _forward(
+        nmax, z, lambda z: 2.0 * (1.0 + alpha) * z,
+        lambda k, z, ck, cm: (2.0 * (k + 1 + alpha) * z * ck - (k + 1 + 2 * alpha) * cm) / (k + 1))
 
 
 def gegenbauer_matrix(alpha: float, nmax: int, z) -> np.ndarray:
@@ -147,10 +157,7 @@ def gegenbauer_matrix(alpha: float, nmax: int, z) -> np.ndarray:
     Returns an array of shape (nmax+1,) + shape(z).  Forward recurrence:
     C_{k+1} = (2(k+1+alpha) z C_k - (k+1+2 alpha) C_{k-1}) / (k+1).
     """
-    _check_alpha(alpha)
-    return _forward(
-        nmax, z, lambda z: 2.0 * (1.0 + alpha) * z,
-        lambda k, z, ck, cm: (2.0 * (k + 1 + alpha) * z * ck - (k + 1 + 2 * alpha) * cm) / (k + 1))
+    return np.asarray(_gegenbauer_rows(alpha, nmax, z), dtype=complex)
 
 
 # Degree-one members of the Chebyshev kinds; all four share the step
@@ -163,11 +170,11 @@ _CHEBYSHEV_FIRST = {
 }
 
 
-def family_matrix(family: PolynomialFamily, nmax: int, z) -> np.ndarray:
-    """Values of family members 0..nmax at z; shape (nmax+1,) + shape(z)."""
+def _family_rows(family: PolynomialFamily, nmax: int, z):
+    """Values of family members 0..nmax at z, as _forward returns them."""
     kind = family.kind
     if kind == FamilyKind.GEGENBAUER:
-        return gegenbauer_matrix(family.alpha, nmax, z)
+        return _gegenbauer_rows(family.alpha, nmax, z)
     if kind in _CHEBYSHEV_FIRST:
         return _forward(nmax, z, _CHEBYSHEV_FIRST[kind],
                         lambda k, z, pk, pm: 2.0 * z * pk - pm)
@@ -193,11 +200,15 @@ def family_matrix(family: PolynomialFamily, nmax: int, z) -> np.ndarray:
     raise ValueError(f"unknown family {kind}")
 
 
+def family_matrix(family: PolynomialFamily, nmax: int, z) -> np.ndarray:
+    """Values of family members 0..nmax at z; shape (nmax+1,) + shape(z)."""
+    return np.asarray(_family_rows(family, nmax, z), dtype=complex)
+
+
 def eval_family(family: PolynomialFamily, n: int, z):
     """Evaluate the degree-n member of the family at z."""
-    zz, scalar = _as_complex(z)
-    val = family_matrix(family, n, zz)[n]
-    return complex(val) if scalar else val
+    val = _family_rows(family, n, z)[n]
+    return complex(val) if np.ndim(z) == 0 else val
 
 
 def gegenbauer_coeffs(alpha: float, n: int) -> np.ndarray:
@@ -224,12 +235,16 @@ def gegenbauer_coeffs(alpha: float, n: int) -> np.ndarray:
     return coeffs
 
 
-def _gegenbauer_norms(alpha: float, p: EllipseParams, nmax: int) -> np.ndarray:
-    """h_0..h_nmax from one recurrence pass, non-finite past the double range."""
-    C = gegenbauer_matrix(alpha, nmax, p.x_star).real
-    k = np.arange(nmax + 1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return (1.0 + alpha) / (1.0 + alpha + k) * C
+def _gegenbauer_h(alpha: float, k: int, ck: float) -> float:
+    """h_k from C_k(x_star): the one formula every Gegenbauer norm reads."""
+    return (1.0 + alpha) / (1.0 + alpha + k) * ck
+
+
+def _gegenbauer_norms(alpha: float, p: EllipseParams, nmax: int) -> list[float]:
+    """h_0..h_nmax from one recurrence pass, as Python floats; non-finite past
+    the double range, and from there on (inf steps to inf or nan, never back)."""
+    C = _gegenbauer_rows(alpha, nmax, p.x_star)
+    return [_gegenbauer_h(alpha, k, ck) for k, ck in enumerate(C)]
 
 
 def gegenbauer_norm(alpha: float, p: EllipseParams, n: int) -> float:
@@ -239,22 +254,27 @@ def gegenbauer_norm(alpha: float, p: EllipseParams, n: int) -> float:
 
     Raises ValueError when h_n is beyond the double range.
     """
-    h = float(_gegenbauer_norms(alpha, p, n)[n])
+    h = _gegenbauer_h(alpha, n, _gegenbauer_rows(alpha, n, p.x_star)[n])
     if not math.isfinite(h):
         raise ValueError(f"h_{n} is not finite for alpha = {alpha}: C_{n}(x_star) overflows")
     return h
 
 
+def _recurrence_entry(alpha: float, p: EllipseParams, h, n: int) -> tuple[float, float]:
+    """(a_{n+1}, b_n) from h[k] = h_k, k = n - 1..n + 1 (a list or a mapping);
+    b_0 = 0.0.  Non-finite norms give non-finite or zero coefficients."""
+    a = p.c * (n + 1) / (2.0 * (n + alpha + 1)) * math.sqrt(h[n + 1] / h[n])
+    if n == 0:
+        return a, 0.0
+    return a, p.c * (n + 2 * alpha + 1) / (2.0 * (n + alpha + 1)) * math.sqrt(h[n - 1] / h[n])
+
+
 def _recurrence_table(alpha: float, p: EllipseParams, nmax: int,
-                      h: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+                      h=None) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """a[n] = a_{n+1} and b[n] = b_n (b[0] = 0.0) for n <= nmax, from one norm
     ladder: h, when the caller has one through degree nmax + 1 or beyond."""
-    h = _gegenbauer_norms(alpha, p, nmax + 1) if h is None else h[: nmax + 2]
-    n = np.arange(nmax + 1)
-    a = p.c * (n + 1) / (2.0 * (n + alpha + 1)) * np.sqrt(h[1:] / h[:-1])
-    b = np.zeros(nmax + 1)
-    m = n[1:]
-    b[1:] = p.c * (m + 2 * alpha + 1) / (2.0 * (m + alpha + 1)) * np.sqrt(h[:-2] / h[1:-1])
+    h = _gegenbauer_norms(alpha, p, nmax + 1) if h is None else h
+    a, b = zip(*(_recurrence_entry(alpha, p, h, n) for n in range(nmax + 1)))
     return a, b
 
 
@@ -267,8 +287,9 @@ def recurrence_coeffs(alpha: float, p: EllipseParams, n: int) -> tuple[float, fl
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    a, b = _recurrence_table(alpha, p, n)
-    return float(a[n]), float(b[n])
+    C = _gegenbauer_rows(alpha, n + 1, p.x_star)
+    h = {k: _gegenbauer_h(alpha, k, C[k]) for k in range(max(n - 1, 0), n + 2)}
+    return _recurrence_entry(alpha, p, h, n)
 
 
 def eval_terminating_2f1(n: int, b: float, c: float, x: float) -> float:

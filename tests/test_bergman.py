@@ -21,9 +21,11 @@ from ellipoly import (
     hessenberg,
     make_params,
     monic_norm,
+    orthonormal_values,
     recurrence_coeffs,
     turan_determinant,
 )
+from ellipoly import bergman
 from ellipoly.bergman import _charge_qr, _charge_values, _column_ladder
 from ellipoly.polynomials import _recurrence_table
 from conftest import kernel_quotient
@@ -284,6 +286,7 @@ def test_turan_zeros_at_edges_and_nonzero_inside():
             assert abs(turan_determinant(alpha, l, 5.0 / 3.0)) > 1e-6
 
 
+@pytest.mark.filterwarnings("error")
 def test_turan_raises_where_its_terms_overflow():
     """Delta_l(5/3) itself leaves the double range from l = 333 at alpha = 0,
     and C_l(1) = (2+2alpha)_l / l! at alpha = 300, l = 1000: the determinant
@@ -349,20 +352,62 @@ def test_closed_hessenberg_is_recurrence_coeffs(p21, alpha):
     assert np.array_equal(H, expect)
 
 
-def test_closed_hessenberg_raises_past_the_double_range(p21):
-    """At p(2,1) and alpha = 0, C_640(x_star) overflows, so a_640 (column 639)
-    is the first closed entry that is not finite.  Every closed path that
-    reads that column raises and names the degree; one column short stays
-    finite."""
-    plain, charged = GegenbauerBasis(0.0, p21), ChristoffelBasis(0.0, p21, 1.5)
-    assert np.all(np.isfinite(hessenberg(plain, 639).entries))
-    assert np.all(np.isfinite(hessenberg(charged, 600).entries))
-    assert np.all(np.isfinite(christoffel_values(charged, 638, 0.3 + 0.1j)))
-    for call in (lambda: hessenberg(plain, 640), lambda: hessenberg(plain, 700),
-                 lambda: hessenberg(charged, 639), lambda: hessenberg(charged, 700),
-                 lambda: christoffel_values(charged, 639, 0.3 + 0.1j)):
-        with pytest.raises(ValueError, match="not finite from degree 639 "):
-            call()
+@pytest.mark.filterwarnings("error")
+def test_closed_hessenberg_raises_past_the_double_range():
+    """At alpha = 0, C_first(x_star) overflows (first = 640 at p(2,1), 240 at
+    p(1, 0.9)), so a_first (column first - 1) is the first closed entry that is
+    not finite.  Every closed path that reads that column raises and names the
+    degree, without warnings; one column short stays finite."""
+    for a, b, first in ((2.0, 1.0, 640), (1.0, 0.9, 240)):
+        p = make_params(a, b)
+        plain, charged = GegenbauerBasis(0.0, p), ChristoffelBasis(0.0, p, 1.5)
+        assert np.all(np.isfinite(hessenberg(plain, first - 1).entries))
+        assert np.all(np.isfinite(hessenberg(charged, first - 40).entries))
+        assert np.all(np.isfinite(christoffel_values(charged, first - 2, 0.3 + 0.1j)))
+        for call in (lambda: hessenberg(plain, first), lambda: hessenberg(plain, first + 60),
+                     lambda: hessenberg(charged, first - 1),
+                     lambda: hessenberg(charged, first + 60),
+                     lambda: christoffel_values(charged, first - 1, 0.3 + 0.1j)):
+            with pytest.raises(ValueError, match=f"not finite from degree {first - 1} "):
+                call()
+
+
+@pytest.mark.parametrize("a, b, nmax", [(2.0, 1.0, 60), (2.0, 1.0, 400),
+                                        (1.0, 0.9, 60), (1.0, 0.9, 200)])
+def test_christoffel_values_sweep_matches_the_dense_solve(a, b, nmax):
+    """R from _charge_qr is exactly zero past its second superdiagonal, so the
+    three-term forward sweep solves R^T x = p as a dense solve does, to
+    roundoff in each degree's largest value over the points.  At p(1, 0.9)
+    the closed Hessenberg stops at degree 239, so the long case there is
+    nmax 200."""
+    p = make_params(a, b)
+    z = np.array([0.0, 0.3 + 0.4j, -1.1 + 0.2j, 0.7 * a - 0.2j * b, 1.2 * a + 0.5j,
+                  -0.4 - 0.9j * b])
+    for alpha, v in ((0.0, 0.3 + 0.4j), (1.3, -1.1 + 0.2j)):
+        basis = ChristoffelBasis(alpha, p, v)
+        _, R = _charge_qr(basis, nmax)
+        assert not np.triu(R, 3).any()
+        ref = np.linalg.solve(R.T, orthonormal_values(alpha, p, nmax, z))
+        got = christoffel_values(basis, nmax, z)
+        gap = np.max(np.abs(got - ref), axis=1) / np.max(np.abs(ref), axis=1)
+        assert np.max(gap) <= 1e-14, (alpha, v)
+
+
+@pytest.mark.parametrize("n", [0, 1, 50, 600])
+def test_closed_entry_reads_its_column_of_one_ladder(p21, n, monkeypatch):
+    """Column n's cached ladder is, bit for bit, the prefix of one ladder
+    through a higher degree, and christoffel_entry_closed reads the same
+    entries from either."""
+    basis = ChristoffelBasis(0.5, p21, 0.3 + 0.4j)
+    pv, kv, h = _charge_values(basis, 602)
+    long = (pv, kv) + _recurrence_table(0.5, p21, 600, h)
+    column = _column_ladder(basis, n)
+    for got, ref in zip(column, long, strict=True):
+        assert got == ref[: len(got)]
+    rows = sorted({0, n // 2, n - 2} & set(range(n - 1)))
+    values = [christoffel_entry_closed(basis, l, n) for l in rows]
+    monkeypatch.setattr(bergman, "_column_ladder", lambda basis, n: long)
+    assert [christoffel_entry_closed(basis, l, n) for l in rows] == values
 
 
 @pytest.mark.parametrize("alpha, b, v", [(0.0, 1.0, 1.5), (-0.64, 0.81, -0.06 - 0.17j),
@@ -371,7 +416,7 @@ def test_closed_entry_ladder_is_cached_and_read_only(alpha, b, v):
     """christoffel_entry_closed reads one ladder per (basis, column): the charge
     values of _charge_values(basis, n + 2) and, row for row and bit for bit,
     the recurrence table that each entry used to build to index l + 2, in
-    arrays nobody can write to."""
+    tuples nobody can write to."""
     basis = ChristoffelBasis(alpha, make_params(2.0, b), v)
     n = 14
     ladder = _column_ladder(basis, n)
@@ -383,7 +428,7 @@ def test_closed_entry_ladder_is_cached_and_read_only(alpha, b, v):
         ref_a, ref_b = _recurrence_table(alpha, basis.params, l + 2)
         assert np.array_equal(a[: l + 3], ref_a) and np.array_equal(bb[: l + 3], ref_b)
     for arr in ladder:
-        with pytest.raises(ValueError, match="read-only"):
+        with pytest.raises(TypeError, match="does not support item assignment"):
             arr[0] = 1.0
     # the cache does not change a value: a fresh basis with equal fields agrees
     for l in range(n - 1):

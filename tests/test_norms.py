@@ -37,9 +37,10 @@ from ellipoly import (
     monic_factor,
     monic_norm,
     orthonormal_values,
+    recurrence_coeffs,
 )
-from ellipoly.norms import _closed_norms, _norm_table
-from ellipoly.polynomials import family_matrix
+from ellipoly.norms import _closed_norms, _log_monic_factor, _norm_table
+from ellipoly.polynomials import _gegenbauer_norms, _recurrence_table, family_matrix
 from ellipoly.quadrature import _exact_rule
 
 from conftest import einsum_hessenberg
@@ -330,6 +331,38 @@ def test_closed_norm_is_the_table_entry(p21, family, nmax):
     for normalized in (None, True, False):
         table = _closed_norms(family, p21, nmax, normalized)[degrees].tolist()
         assert [closed_norm(family, p21, n, normalized) for n in degrees] == table
+
+
+@pytest.mark.parametrize("nmax", [0, 1, 50, 600])
+def test_single_degree_routes_are_ladder_entries(p21, nmax):
+    """gegenbauer_norm, recurrence_coeffs and the Gegenbauer log_monic_norm
+    read entry n of the one-pass ladder, bit for bit, from a ladder through
+    a higher degree (every tenth degree of the long one)."""
+    alpha = 0.5
+    h = _gegenbauer_norms(alpha, p21, nmax + 1)
+    a, b = _recurrence_table(alpha, p21, nmax, h)
+    for n in sorted({*range(0, nmax + 1, 1 if nmax <= 50 else 10), nmax}):
+        assert gegenbauer_norm(alpha, p21, n) == h[n]
+        assert recurrence_coeffs(alpha, p21, n) == (a[n], b[n])
+        assert log_monic_norm(alpha, p21, n) == (2.0 * _log_monic_factor(alpha, p21, n)
+                                                 + math.log(h[n]))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("a, b, first", [(2.0, 1.0, 640), (1.0, 0.9, 240)])
+def test_one_point_norms_raise_from_the_first_overflowing_degree(a, b, first):
+    """At alpha = 0, C_n(x_star) leaves the double range from n = first: each
+    one-point route to h_n is finite one degree short and raises ValueError
+    from there on, where the ladder holds inf and then nan, with no warning."""
+    p = make_params(a, b)
+    routes = (lambda n: gegenbauer_norm(0.0, p, n),
+              lambda n: closed_norm(gegenbauer(0.0), p, n),
+              lambda n: log_monic_norm(0.0, p, n))
+    for route in routes:
+        assert math.isfinite(route(first - 1))
+        for n in (first, first + 1, first + 2):
+            with pytest.raises(ValueError, match=f"h_{n} is not finite"):
+                route(n)
 
 
 def _mp_norm(name, alpha, b, n):
