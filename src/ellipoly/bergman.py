@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import EllipseParams, _check_alpha, area_measure
-from .norms import _arnoldi, monic_factor, monic_norm
+from .norms import _arnoldi, _log_monic_entry, _times_exp, monic_factor
 from .polynomials import (
     _gegenbauer_norms,
     _gegenbauer_rows,
@@ -174,8 +174,9 @@ def christoffel_norm_monic(basis: ChristoffelBasis, N: int) -> float:
     """
     if N < 0:
         raise ValueError("degree must be nonnegative")
-    _, kv, _ = _charge_values(basis, N + 1)
-    return monic_norm(basis.alpha, basis.params, N + 1) * kv[N + 2] / kv[N + 1]
+    _, kv, h = _charge_values(basis, N + 1)
+    log_htilde = _log_monic_entry(basis.alpha, basis.params, N + 1, h[N + 1])
+    return _times_exp(1.0, log_htilde, f"htilde_{N + 1}") * kv[N + 2] / kv[N + 1]
 
 
 @dataclass(frozen=True)

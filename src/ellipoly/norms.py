@@ -294,6 +294,12 @@ def _log_monic_factor(alpha: float, p: EllipseParams, n: int) -> float:
     return math.lgamma(n + 1) + n * math.log(p.c / 2.0) - lnpoch(1.0 + alpha, n)
 
 
+def _log_monic_entry(alpha: float, p: EllipseParams, n: int, h_n: float) -> float:
+    """log htilde_n from the Gegenbauer norm h_n: the one formula every
+    Gegenbauer-route monic norm reads; inf or nan when h_n is."""
+    return 2.0 * _log_monic_factor(alpha, p, n) + math.log(h_n)
+
+
 def _times_exp(value, log_scale: float, what: str):
     """value * exp(log_scale) as one exponential, so that a scale outside the
     double range does not overflow when the product lies inside it; raises
@@ -332,7 +338,7 @@ def log_monic_norm(alpha: float, p: EllipseParams, n: int,
         raise ValueError("degree must be nonnegative")
     _check_alpha(alpha)
     if method == "gegenbauer":
-        return 2.0 * _log_monic_factor(alpha, p, n) + math.log(gegenbauer_norm(alpha, p, n))
+        return _log_monic_entry(alpha, p, n, gegenbauer_norm(alpha, p, n))
     if method == "hypergeometric":
         f = eval_terminating_2f1(n, 2.0 + 2.0 * alpha + n, alpha + 1.5,
                                  -(p.b / p.c) ** 2)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import EllipseParams, area_measure
-from .norms import _log_monic_factor, log_monic_norm
+from .norms import _log_monic_entry, log_monic_norm
 from .polynomials import _gegenbauer_norms
 from .quadrature import _exact_rule
 
@@ -36,7 +36,7 @@ def _log_selberg(alpha: float, p: EllipseParams, N: int, method: str) -> float:
     if method == "gegenbauer":
         h = _gegenbauer_norms(alpha, p, N - 1)
         for j in range(N):
-            total += 2.0 * _log_monic_factor(alpha, p, j) + math.log(h[j])
+            total += _log_monic_entry(alpha, p, j, h[j])
     else:
         for j in range(N):
             total += log_monic_norm(alpha, p, j, method=method)

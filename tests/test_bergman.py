@@ -357,7 +357,8 @@ def test_closed_hessenberg_raises_past_the_double_range():
     """At alpha = 0, C_first(x_star) overflows (first = 640 at p(2,1), 240 at
     p(1, 0.9)), so a_first (column first - 1) is the first closed entry that is
     not finite.  Every closed path that reads that column raises and names the
-    degree, without warnings; one column short stays finite."""
+    degree, without warnings; one column short stays finite.  The monic
+    Christoffel norm of degree N reads h_{N+1}, so it raises from N = first - 1."""
     for a, b, first in ((2.0, 1.0, 640), (1.0, 0.9, 240)):
         p = make_params(a, b)
         plain, charged = GegenbauerBasis(0.0, p), ChristoffelBasis(0.0, p, 1.5)
@@ -370,6 +371,9 @@ def test_closed_hessenberg_raises_past_the_double_range():
                      lambda: christoffel_values(charged, first - 1, 0.3 + 0.1j)):
             with pytest.raises(ValueError, match=f"not finite from degree {first - 1} "):
                 call()
+        assert math.isfinite(christoffel_norm_monic(charged, first - 2))
+        with pytest.raises(ValueError, match=f"_{first} .*not finite"):
+            christoffel_norm_monic(charged, first - 1)
 
 
 @pytest.mark.parametrize("a, b, nmax", [(2.0, 1.0, 60), (2.0, 1.0, 400),

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 
@@ -296,3 +297,67 @@ def test_norms_table_is_the_per_degree_closed_norm(capsys, family):
     p = make_params(1.0, 0.5)
     assert [int(n) for n, _ in rows] == list(range(601))
     assert [float(v) for _, v in rows] == [closed_norm(fam, p, n) for n in range(601)]
+
+
+def test_encoder_covers_what_json_cannot():
+    """dumps hands json only what it cannot encode itself, and refuses NaN,
+    infinity and unknown objects the way the CLI reports them."""
+    from ellipoly import LimitRegime, __version__, make_params
+    from ellipoly.cli import dumps, write_csv
+
+    def encoded(x):
+        doc = json.loads(dumps({"x": x}))
+        assert doc["meta"] == {"version": __version__}
+        return doc["data"]["x"]
+
+    assert encoded(1.5 - 2j) == [1.5, -2.0]
+    assert encoded(np.array([[1 + 2j, 3j], [4, 5 - 1j]])) == [
+        [[1.0, 2.0], [0.0, 3.0]], [[4.0, 0.0], [5.0, -1.0]]]
+    assert '"x": 7\n' in dumps({"x": np.int64(7)})
+    assert '"x": true\n' in dumps({"x": np.bool_(True)})
+    x = np.float64(0.1) + np.float64(0.2)
+    assert f'"x": {float(x)!r}\n' in dumps({"x": x})
+    assert encoded(LimitRegime.HERMITE_PLANE) == "hermite_plane"
+    p = make_params(2.0, 1.0)
+    assert encoded(p) == {"a": 2.0, "b": 1.0, "c": p.c, "R": p.R, "r": p.r,
+                          "x_star": p.x_star}
+    for bad in (math.nan, np.array([1.0, math.inf])):
+        with pytest.raises(ValueError, match="result is not finite"):
+            dumps({"x": bad})
+    with pytest.raises(ValueError, match="result is not finite"):
+        write_csv(["n", "norm"], [(0, 1.0), (1, -math.inf)])
+    with pytest.raises(TypeError, match="cannot serialize object"):
+        dumps({"x": object()})
+
+
+_CHEAP_ARGS = {
+    "eval": ("--family", "legendre", "--n", "2", "--z", "0.3"),
+    "gram": ("--family", "legendre", "--nmax", "2"),
+    "norms": ("--family", "legendre", "--nmax", "2", "--format", "csv"),
+    "hessenberg": ("--nmax", "3"),
+    "selberg": ("--alpha", "0", "--N", "2"),
+    "limits": ("--regime", "realline", "--n", "1", "--m", "1"),
+    "contour": ("--n", "1", "--m", "1"),
+    "verify": ("--checks", "heine_average"),
+}
+
+
+@pytest.mark.parametrize("command", list(_CHEAP_ARGS))
+def test_shared_options(command, tmp_path, monkeypatch, capsys):
+    """--output rel writes under $ELLIPOLY_OUTPUT_DIR exactly the bytes stdout
+    gets, and every subcommand but verify takes the ellipse as --a/--b."""
+    from ellipoly.cli import main
+
+    args = [command, *_CHEAP_ARGS[command]]
+    assert main(args) == 0
+    stdout = capsys.readouterr().out
+    monkeypatch.setenv("ELLIPOLY_OUTPUT_DIR", str(tmp_path))
+    assert main([*args, "--output", "rel"]) == 0
+    assert capsys.readouterr().out == ""
+    assert (tmp_path / "rel").read_bytes() == stdout.encode()
+    if command == "verify":
+        with pytest.raises(SystemExit) as exc:
+            main([*args, "--a", "3", "--b", "2"])
+        assert exc.value.code == 1
+    else:
+        assert main([*args, "--a", "3", "--b", "2"]) == 0
