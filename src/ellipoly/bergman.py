@@ -291,7 +291,18 @@ def turan_determinant(alpha: float, l: int, x: float) -> float:
     """
     if l < 0:
         raise ValueError("l must be nonnegative")
-    c0, c1, c2 = _gegenbauer_rows(alpha, l + 2, float(x))[l:]
+    x = float(x)
+    if abs(x) <= 1.0:
+        # |C_k(x)| <= C_k(1) here, so the ratios t_k = C_k(x)/C_k(1) stay in
+        # range: t_0 = 1, t_1 = x and the Gegenbauer step divided by C_{k+1}(1),
+        # t_{k+1} = x t_k + k (x t_k - t_{k-1}) / (k + 2 + 2 alpha), in which
+        # every t_k at x = +-1 is exactly +-1 and Delta exactly 0.
+        _check_alpha(alpha)
+        t = [1.0, x]
+        for k in range(1, l + 2):
+            t.append(x * t[k] + k * (x * t[k] - t[k - 1]) / (k + 2.0 + 2.0 * alpha))
+        return t[l + 1] * t[l + 1] - t[l] * t[l + 2]
+    c0, c1, c2 = _gegenbauer_rows(alpha, l + 2, x)[l:]
     # With u = C_{l+1}(1) = (2+2alpha)_{l+1} / (l+1)!, the exact rational
     # r = C_{l+1}(1)^2 / (C_l(1) C_{l+2}(1)) gives
     # Delta = (c1/u) (c1 - r c0 c2/c1) / u: one transcendental scale for all

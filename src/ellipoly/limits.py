@@ -28,7 +28,8 @@ import numpy as np
 from .geometry import EllipseParams, area_measure, make_params
 from .norms import _log_monic_factor, _times_exp
 from .polynomials import gegenbauer_matrix
-from .quadrature import _area_rule, _exact_rule, _exact_size, _gauss_jacobi
+from .quadrature import (_area_rule, _exact_rule, _exact_size, _gauss_jacobi,
+                         _interleave_antipodes)
 
 __all__ = [
     "LimitRegime",
@@ -197,7 +198,7 @@ def _disc_moments(a: float, alpha: float, entries, degree: int) -> list[complex]
     """disc_reference for each (n, m) listed, on the k x 2k area rule of the
     unit disc exact for degree (every n + m <= degree); 0 off the diagonal."""
     k = _exact_size(degree)
-    z, w = _area_rule(1.0, 1.0, alpha, k, 2 * k)
+    z, w = _interleave_antipodes(*_area_rule(1.0, 1.0, alpha, k, 2 * k))
     return [complex(_times_exp(np.sum(w * z ** n * np.conj(z) ** m),
                                (n + m) * math.log(a), "disc_reference value"))
             if n == m else 0j for n, m in entries]

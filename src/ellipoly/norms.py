@@ -39,7 +39,7 @@ from .polynomials import (
     gegenbauer_norm,
     lnpoch,
 )
-from .quadrature import QuadratureRule, build_rule
+from .quadrature import QuadratureRule, _gram_sum, build_rule
 
 __all__ = [
     "GramResult",
@@ -211,19 +211,24 @@ def _is_canonical(family: PolynomialFamily, measure: Measure) -> bool:
     return canon.kind == measure.kind and (canon.alpha == measure.alpha)
 
 
+# f_n(-z) = (-1)^n f_n(z) exactly in floating point: the recurrences are odd in z.
+_PARITY = (FamilyKind.GEGENBAUER, FamilyKind.CHEBYSHEV_T, FamilyKind.CHEBYSHEV_U)
+
+
 def gram_matrix(family: PolynomialFamily, measure: Measure, nmax: int,
                 rule: QuadratureRule | None = None) -> GramResult:
     """Full Gram matrix of family members 0..nmax (argument z/c) under the
     measure, by quadrature on the rule (default: build_rule(measure));
-    conjugate symmetry is enforced exactly."""
+    conjugate symmetry is enforced exactly.  A family with parity on a rule
+    of exact antipodes is evaluated at one node of each pair, and its
+    entries with n + m odd are exactly 0."""
     if rule is None:
         rule = build_rule(measure)
     elif rule.measure != measure:
         raise ValueError("rule was built for a different measure")
     p = measure.params
-    vals = family_matrix(family, nmax, rule.nodes / p.c)
-    weighted = vals * rule.weights
-    G = weighted @ np.conjugate(vals, out=vals).T
+    G = _gram_sum(lambda z: family_matrix(family, nmax, z / p.c), nmax + 1, rule,
+                  parity=family.kind in _PARITY)
     G = 0.5 * (G + G.conj().T)
     diag = np.diag(G).real.copy()
     off = G - np.diag(np.diag(G))
@@ -332,7 +337,8 @@ def log_monic_norm(alpha: float, p: EllipseParams, n: int,
     Two independent routes agree to roundoff:
       - 'gegenbauer': rescale the Gegenbauer norm by the monic factor;
       - 'hypergeometric': the Gamma-ratio/terminating-2F1 closed form
-        evaluated at -b^2/c^2, whose series terms are all positive.
+        evaluated at -b^2/c^2, whose series terms are all positive; raises
+        ValueError naming the degree when that sum leaves the double range.
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")
@@ -342,6 +348,9 @@ def log_monic_norm(alpha: float, p: EllipseParams, n: int,
     if method == "hypergeometric":
         f = eval_terminating_2f1(n, 2.0 + 2.0 * alpha + n, alpha + 1.5,
                                  -(p.b / p.c) ** 2)
+        if not math.isfinite(f):
+            raise ValueError(f"2F1 sum of degree {n} is not finite ({f}): its "
+                             f"terms overflow the double range")
         return (2.0 * n * math.log(p.c / 2.0)
                 + 0.5 * math.log(math.pi)
                 + math.lgamma(2.0 + alpha)

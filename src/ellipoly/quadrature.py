@@ -118,19 +118,20 @@ def _gauss_jacobi(k: int, a: float, b: float):
 
 
 def _area_rule(a: float, b: float, alpha: float, n_radial: int, n_angular: int):
-    """Rule for dA_alpha = (1+alpha)(1-h)^alpha dA on the ellipse with
-    semi-axes a >= b (a = b is the disc), total mass 1.
+    """Half a period of the rule for dA_alpha = (1+alpha)(1-h)^alpha dA on
+    the ellipse with semi-axes a >= b (a = b is the disc): nodes of shape
+    (n_radial, n_angular/2) and the per-node weight of each radial layer;
+    _interleave_antipodes completes it to the full rule of total mass 1.
 
     Radial direction: with t = r^2 the measure is (1+alpha)(1-t)^alpha dt
     on (0, 1), the unit-mass Gauss-Jacobi rule in t.  Angular direction:
-    trapezoid over an even count of angles, built from half a period and
-    mirrored so antipodes are exact.
+    trapezoid over an even count of angles.
     """
     t, u = _gauss_jacobi(n_radial, float(alpha), 0.0)   # a hashable table key
     r = np.sqrt(t)
     theta = 2.0 * np.pi * np.arange(n_angular // 2) / n_angular
     zhalf = a * np.outer(r, np.cos(theta)) + 1j * b * np.outer(r, np.sin(theta))
-    return _interleave_antipodes(zhalf, u / n_angular)
+    return zhalf, u / n_angular
 
 
 def _chebyshev_t_rule(p: EllipseParams, n_radial: int, n_angular: int):
@@ -165,7 +166,7 @@ def build_rule(measure: Measure,
     alpha = 0.0 if measure.alpha is None else measure.alpha
 
     if kind == MeasureKind.AREA_ALPHA:
-        nodes, weights = _area_rule(p.a, p.b, alpha, n_radial, n_angular)
+        nodes, weights = _interleave_antipodes(*_area_rule(p.a, p.b, alpha, n_radial, n_angular))
     elif kind == MeasureKind.CHEBYSHEV_T:
         nodes, weights = _chebyshev_t_rule(p, n_radial, n_angular)
     elif kind in (MeasureKind.B_MINUS, MeasureKind.B_PLUS,
@@ -173,8 +174,12 @@ def build_rule(measure: Measure,
         # Pull the normalized area rule on the base ellipse through
         # w = c (2 (z/c)^2 - 1): the push-forward of dA_alpha is exactly
         # dB_alpha^- of the derived ellipse, so the weights transfer as-is.
+        # z and -z have one image, so half a period with doubled weights
+        # carries every node once.
         pb = base_params(p)
-        znodes, weights = _area_rule(pb.a, pb.b, alpha, n_radial, n_angular)
+        zhalf, uradial = _area_rule(pb.a, pb.b, alpha, n_radial, n_angular)
+        znodes = zhalf.ravel()
+        weights = np.repeat(2.0 * uradial, zhalf.shape[1])
         nodes, _ = quadratic_map(pb, znodes)
         if kind == MeasureKind.B_PLUS:
             # dB^+/dB^- = (2+alpha) |c + w| / a, and c + w = 2 z^2 / c on the
@@ -230,29 +235,57 @@ def moment(p_exp: int, q_exp: int, rule: QuadratureRule) -> complex:
     return complex(math.fsum(terms.real), math.fsum(terms.imag))
 
 
+# Nodes per block of _gram_sum, whose working set is two (rows, _BLOCK) arrays.
+_BLOCK = 4096
+
+
+def _is_antipodal(rule: QuadratureRule) -> bool:
+    """Whether the rule interleaves exact antipodes (z, -z) of equal weight."""
+    z, w = rule.nodes, rule.weights
+    return (z.size % 2 == 0 and np.array_equal(z[1::2], -z[::2])
+            and np.array_equal(w[1::2], w[::2]))
+
+
+def _gram_sum(rows, size: int, rule: QuadratureRule, parity: bool) -> np.ndarray:
+    """G[n, m] = sum_i w_i f_n(z_i) conj(f_m(z_i)), with rows(z) the (size,
+    z.size) values f_0..f_{size-1}, one weighted product per block of nodes.
+    parity states f_n(-z) = (-1)^n f_n(z): on a rule of exact antipodes only
+    one node of each pair is evaluated, the n + m even entries are twice
+    that sum and the odd ones, where the pairs cancel, exactly 0."""
+    z, w = rule.nodes, rule.weights
+    half = parity and _is_antipodal(rule)
+    if half:
+        z, w = z[::2], w[::2]
+    G = np.zeros((size, size), dtype=complex)
+    for s in range(0, z.size, _BLOCK):
+        V = rows(z[s:s + _BLOCK])
+        Vw = V * w[s:s + _BLOCK]
+        G += Vw @ np.conjugate(V, out=V).T
+    if half:
+        k = np.arange(size)
+        G = np.where((k[:, None] + k) % 2, 0.0, 2.0 * G)
+    return G
+
+
 def moment_table(pmax: int, rule: QuadratureRule) -> np.ndarray:
     """Every moment <z^p, z^q> with p, q <= pmax as one (pmax+1)^2 array,
     entry [p, q] matching moment(p, q, rule).
 
-    Powers are built by repeated multiplication, as in moment().  The even-
-    and odd-indexed nodes are contracted separately, each as one weighted
-    matrix product, and the two tables are added.  On the rules that
-    interleave exact antipodes (z, -z) the two products carry the same terms
-    up to the sign (-1)^(p+q), so odd-parity moments cancel to exactly zero;
-    on any other rule the split only changes the summation order.
+    Powers are built by repeated multiplication, as in moment(), and have
+    parity, so on the rules that interleave exact antipodes (z, -z)
+    odd-parity moments are exactly zero (see _gram_sum).
     """
     if pmax < 0:
         raise ValueError("moment exponents must be nonnegative")
-    M = np.zeros((pmax + 1, pmax + 1), dtype=complex)
-    for half in (slice(0, None, 2), slice(1, None, 2)):
-        z = rule.nodes[half]
+
+    def powers(z):
         P = np.empty((pmax + 1, z.size), dtype=complex)
         P[0] = 1.0
         for k in range(pmax):
             P[k + 1] = P[k] * z
-        Pw = P * rule.weights[half]
-        M += Pw @ np.conjugate(P, out=P).T
-    return M
+        return P
+
+    return _gram_sum(powers, pmax + 1, rule, parity=True)
 
 
 def contour_check(p: EllipseParams, n: int, m: int) -> complex:

@@ -288,14 +288,33 @@ def test_turan_zeros_at_edges_and_nonzero_inside():
 
 @pytest.mark.filterwarnings("error")
 def test_turan_raises_where_its_terms_overflow():
-    """Delta_l(5/3) itself leaves the double range from l = 333 at alpha = 0,
-    and C_l(1) = (2+2alpha)_l / l! at alpha = 300, l = 1000: the determinant
-    raises ValueError there, without numpy warnings, instead of returning
-    nan or letting math.exp's OverflowError through."""
+    """Delta_l(5/3) itself leaves the double range from l = 333 at alpha = 0:
+    the determinant raises ValueError there, without numpy warnings, instead
+    of returning nan or letting math.exp's OverflowError through."""
     assert math.isfinite(turan_determinant(0.0, 332, 5.0 / 3.0))
-    for alpha, l, x in ((0.0, 333, 5.0 / 3.0), (0.0, 1000, 5.0 / 3.0), (300.0, 1000, 1.0)):
+    for alpha, l, x in ((0.0, 333, 5.0 / 3.0), (0.0, 1000, 5.0 / 3.0)):
         with pytest.raises(ValueError, match=f"Delta_{l}.* is not finite"):
             turan_determinant(alpha, l, x)
+
+
+@pytest.mark.parametrize("alpha", [-0.5, 0.0, 5.0, 50.0, 300.0])
+def test_turan_on_the_interval_matches_mpmath(alpha):
+    """On [-1, 1] the determinant steps the bounded ratios C_k(x)/C_k(1), so
+    it stays finite where C_k(1) overflows (alpha = 300, l = 1000) and is
+    exactly 0 at x = +-1; elsewhere it matches a 60-digit recurrence of the
+    same ratios to 5e-16 absolute, for l up to 1000."""
+    ls = list(range(12)) + [97, 333, 640, 998, 999, 1000]
+    with mp.workdps(60):
+        for x in (1.0, -1.0, 0.5, -0.3, 0.99):
+            al, X = mp.mpf(alpha), mp.mpf(x)
+            t = [mp.mpf(1), X]
+            for k in range(1, 1002):
+                t.append((2 * (k + 1 + al) * X * t[k] - k * t[k - 1]) / (k + 2 + 2 * al))
+            for l in ls:
+                got = turan_determinant(alpha, l, x)
+                if abs(x) == 1.0:
+                    assert got == 0.0, (x, l)
+                assert abs(got - float(t[l + 1] ** 2 - t[l] * t[l + 2])) <= 5e-16, (x, l)
 
 
 @pytest.mark.parametrize("l", range(328, 333))

@@ -38,10 +38,12 @@ from ellipoly import (
     monic_norm,
     orthonormal_values,
     recurrence_coeffs,
+    selberg_closed,
 )
+from ellipoly import quadrature
 from ellipoly.norms import _closed_norms, _log_monic_factor, _norm_table
 from ellipoly.polynomials import _gegenbauer_norms, _recurrence_table, family_matrix
-from ellipoly.quadrature import _exact_rule
+from ellipoly.quadrature import _exact_rule, _is_antipodal
 
 from conftest import einsum_hessenberg
 
@@ -430,3 +432,72 @@ def test_log_monic_norm_past_the_monic_factor_range():
     with pytest.raises(ValueError, match="monic factor of degree 200 .* overflows"):
         monic_factor(0.0, p, 200)
     assert math.isfinite(monic_factor(0.0, p, 114))
+
+
+def _brute_gram(family, rule, nmax):
+    """sum over every node of w f_n conj(f_m), by one einsum."""
+    vals = family_matrix(family, nmax, rule.nodes / rule.measure.params.c)
+    return np.einsum("k,nk,mk->nm", rule.weights, vals, vals.conj())
+
+
+def _relative_gap(G, ref):
+    return float(np.max(np.abs(G - ref)) / np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("family", [legendre(), gegenbauer(1.3), chebyshev_t(), chebyshev_u()],
+                         ids=["legendre", "gegenbauer", "chebyshev_t", "chebyshev_u"])
+def test_parity_gram_on_half_the_pairs_is_the_full_sum(p21, family):
+    """A family with parity on an antipodal rule reads one node per pair: it
+    matches the sum over every node, and its n + m odd entries are exact 0."""
+    measure = canonical_measure(family, p21)
+    rule = build_rule(measure, 24, 64)
+    assert _is_antipodal(rule)
+    G = gram_matrix(family, measure, 12, rule=rule).matrix
+    assert _relative_gap(G, _brute_gram(family, rule, 12)) <= 1e-14
+    n, m = np.indices(G.shape)
+    assert np.all(G[(n + m) % 2 == 1] == 0.0)
+    assert np.all(np.diag(G).real > 0.0)
+
+
+@pytest.mark.parametrize("family", [gegenbauer(0.5), chebyshev_u()], ids=["gegenbauer", "chebyshev_u"])
+def test_gram_on_a_charged_rule_sums_every_node(p21, family):
+    """A charged weight |v - z|^2 breaks the equal weights of each pair: the
+    symmetry check sends the rule down the full path, whose odd entries are
+    not 0, and the result is the sum over every node."""
+    measure = canonical_measure(family, p21)
+    rule = build_rule(measure, 24, 64)
+    charged = dataclasses.replace(rule, weights=rule.weights * np.abs(0.3 + 0.4j - rule.nodes) ** 2)
+    assert not _is_antipodal(charged)
+    G = gram_matrix(family, measure, 8, rule=charged).matrix
+    ref = _brute_gram(family, charged, 8)
+    assert _relative_gap(G, 0.5 * (ref + ref.conj().T)) <= 1e-14
+    assert np.abs(G[0, 1]) > 1e-3 * np.sqrt(G[0, 0].real * G[1, 1].real)
+
+
+@pytest.mark.parametrize("family, measure", [
+    (gegenbauer(0.7), lambda p: area_measure(p, 0.7)),
+    (jacobi_half(0.5, 1), lambda p: canonical_measure(jacobi_half(0.5, 1), p)),
+], ids=["half_path", "mapped_full_path"])
+def test_gram_does_not_depend_on_the_block_size(p21, family, measure, monkeypatch):
+    """Blocks of 7 nodes, none of which divides the rule, against one block."""
+    measure = measure(p21)
+    rule = build_rule(measure, 5, 12)
+    assert rule.nodes.size % 7 and (rule.nodes.size // 2) % 7
+    monkeypatch.setattr(quadrature, "_BLOCK", 7)
+    small = gram_matrix(family, measure, 6, rule=rule).matrix
+    monkeypatch.setattr(quadrature, "_BLOCK", 10**9)
+    one = gram_matrix(family, measure, 6, rule=rule).matrix
+    assert _relative_gap(small, one) <= 1e-14
+
+
+def test_hypergeometric_monic_norm_raises_where_its_sum_overflows():
+    """At b/c = 2.2e4 the positive 2F1 terms overflow from degree 34: the
+    hypergeometric route raises naming that degree instead of returning inf,
+    and selberg_closed reports the same degree."""
+    p = make_params(1.0, 1.0 - 1e-9)
+    assert math.isfinite(log_monic_norm(0.5, p, 33, method="hypergeometric"))
+    for n in (34, 60):
+        with pytest.raises(ValueError, match=f"2F1 sum of degree {n} is not finite"):
+            log_monic_norm(0.5, p, n, method="hypergeometric")
+    with pytest.raises(ValueError, match="2F1 sum of degree 34 is not finite"):
+        selberg_closed(0.5, p, 61)

@@ -10,9 +10,11 @@ import pytest
 from scipy.special import roots_jacobi, roots_legendre
 
 from ellipoly import (
+    MeasureKind,
     area_measure,
     b_minus_measure,
     b_plus_measure,
+    base_params,
     build_rule,
     chebyshev_t_measure,
     chebyshev_v_measure,
@@ -23,8 +25,10 @@ from ellipoly import (
     make_params,
     moment,
     moment_table,
+    quadratic_map,
     weight_density,
 )
+from ellipoly import quadrature
 from ellipoly.quadrature import _contour_values, _exact_rule, _exact_size, _gauss_jacobi
 
 
@@ -344,3 +348,86 @@ def test_flat_measure_is_the_alpha_zero_area_weight(p21, normalized):
     assert np.array_equal(rf.nodes, ra.nodes) and np.array_equal(rf.weights, ra.weights)
     for z in (0.3 + 0.2j, -1.5 + 0.1j, 0.0):
         assert weight_density(flat, z) == weight_density(area, z)
+
+
+def _duplicated_mapped_rule(measure, n_radial, n_angular):
+    """Nodes and weights of a mapped rule as pushed forward from the whole
+    antipodal area rule of the base ellipse, each image node twice (default
+    conventions: B-/B+ normalized, V/W flat)."""
+    p, kind = measure.params, measure.kind
+    pb = base_params(p)
+    alpha = 0.0 if measure.alpha is None else measure.alpha
+    base = build_rule(area_measure(pb, alpha), n_radial, n_angular)
+    nodes, _ = quadratic_map(pb, base.nodes)
+    weights = base.weights
+    if kind == MeasureKind.B_PLUS:
+        weights = weights * (2.0 + alpha) * 2.0 * np.abs(base.nodes) ** 2 / (p.a * p.c)
+    elif kind != MeasureKind.B_MINUS:
+        weights = weights * 2.0 * np.pi * p.b
+        if kind == MeasureKind.CHEBYSHEV_V:
+            nodes = -nodes
+    return nodes, weights
+
+
+MAPPED = [lambda p: b_minus_measure(derived_params(p), 0.7),
+          lambda p: b_plus_measure(derived_params(p), 1.5),
+          chebyshev_v_measure, chebyshev_w_measure]
+
+
+@pytest.mark.parametrize("make", MAPPED, ids=["b_minus", "b_plus", "chebyshev_v", "chebyshev_w"])
+@pytest.mark.parametrize("n_radial, n_angular", [(9, 18), (24, 64)])
+def test_mapped_rules_carry_one_node_per_image(p21, make, n_radial, n_angular):
+    """z and -z map to one point, so the mapped rule holds n_radial *
+    n_angular / 2 distinct nodes: the duplicated rule's even-indexed nodes,
+    with doubled weights, the same mass and the same moments."""
+    measure = make(p21)
+    rule = build_rule(measure, n_radial, n_angular)
+    assert rule.nodes.size == rule.weights.size == n_radial * n_angular // 2
+    assert rule.shape == (n_radial, n_angular)
+    nodes, weights = _duplicated_mapped_rule(measure, n_radial, n_angular)
+    assert np.array_equal(nodes[0::2], nodes[1::2])
+    assert np.array_equal(rule.nodes, nodes[0::2])
+    assert np.array_equal(rule.weights, 2.0 * weights[0::2])
+    assert abs(rule.mass - weights.sum()) <= 1e-14 * weights.sum()
+    old = moment_table(8, dataclasses.replace(rule, nodes=nodes, weights=weights))
+    assert np.max(np.abs(moment_table(8, rule) - old)) <= 1e-14 * np.max(np.abs(old))
+
+
+def _two_half_moments(pmax, rule):
+    """The moment table as two weighted products, over the even- and the
+    odd-indexed nodes, added."""
+    M = np.zeros((pmax + 1, pmax + 1), dtype=complex)
+    for z, w in ((rule.nodes[0::2], rule.weights[0::2]), (rule.nodes[1::2], rule.weights[1::2])):
+        P = np.ones((pmax + 1, z.size), dtype=complex)
+        for k in range(pmax):
+            P[k + 1] = P[k] * z
+        M += (P * w) @ P.conj().T
+    return M
+
+
+@pytest.mark.parametrize("make", [lambda p: area_measure(p, 1.3), chebyshev_t_measure] + MAPPED,
+                         ids=["area", "chebyshev_t", "b_minus", "b_plus", "chebyshev_v",
+                              "chebyshev_w"])
+def test_moment_table_on_one_block_is_the_two_half_sum(p21, make):
+    """On a rule of at most one block, the half-pair reduction of an
+    antipodal rule and the single product over a mapped rule's distinct
+    nodes give the old two-half sum bit for bit."""
+    measure = make(p21)
+    rule = old = build_rule(measure, 24, 64)
+    if measure.kind not in (MeasureKind.AREA_ALPHA, MeasureKind.CHEBYSHEV_T):
+        nodes, weights = _duplicated_mapped_rule(measure, 24, 64)
+        old = dataclasses.replace(rule, nodes=nodes, weights=weights)
+    assert np.array_equal(moment_table(12, rule), _two_half_moments(12, old))
+
+
+@pytest.mark.parametrize("make", [lambda p: area_measure(p, 1.3)] + MAPPED[:1],
+                         ids=["antipodal", "mapped"])
+def test_moment_table_does_not_depend_on_the_block_size(p21, make, monkeypatch):
+    """Blocks of 7 nodes, none of which divides the rule, against one block."""
+    rule = build_rule(make(p21), 5, 12)
+    assert rule.nodes.size % 7 and (rule.nodes.size // 2) % 7
+    monkeypatch.setattr(quadrature, "_BLOCK", 7)
+    small = moment_table(10, rule)
+    monkeypatch.setattr(quadrature, "_BLOCK", 10**9)
+    one = moment_table(10, rule)
+    assert np.max(np.abs(small - one)) <= 1e-14 * np.max(np.abs(one))
