@@ -24,10 +24,10 @@ from .geometry import EllipseParams, _check_alpha, area_measure
 from .norms import _arnoldi, _log_monic_entry, _times_exp, monic_factor
 from .polynomials import (
     _gegenbauer_norms,
+    _gegenbauer_ratios,
     _gegenbauer_rows,
     _recurrence_table,
     gegenbauer_matrix,
-    lnpoch,
 )
 from .quadrature import _exact_rule
 from .selberg import _ensemble_weights
@@ -291,30 +291,11 @@ def turan_determinant(alpha: float, l: int, x: float) -> float:
     """
     if l < 0:
         raise ValueError("l must be nonnegative")
-    x = float(x)
-    if abs(x) <= 1.0:
-        # |C_k(x)| <= C_k(1) here, so the ratios t_k = C_k(x)/C_k(1) stay in
-        # range: t_0 = 1, t_1 = x and the Gegenbauer step divided by C_{k+1}(1),
-        # t_{k+1} = x t_k + k (x t_k - t_{k-1}) / (k + 2 + 2 alpha), in which
-        # every t_k at x = +-1 is exactly +-1 and Delta exactly 0.
-        _check_alpha(alpha)
-        t = [1.0, x]
-        for k in range(1, l + 2):
-            t.append(x * t[k] + k * (x * t[k] - t[k - 1]) / (k + 2.0 + 2.0 * alpha))
-        return t[l + 1] * t[l + 1] - t[l] * t[l + 2]
-    c0, c1, c2 = _gegenbauer_rows(alpha, l + 2, x)[l:]
-    # With u = C_{l+1}(1) = (2+2alpha)_{l+1} / (l+1)!, the exact rational
-    # r = C_{l+1}(1)^2 / (C_l(1) C_{l+2}(1)) gives
-    # Delta = (c1/u) (c1 - r c0 c2/c1) / u: one transcendental scale for all
-    # three terms, and no square forms, so Delta overflows only when it leaves
-    # the double range itself.  math.exp raises OverflowError past that range.
-    s = 2.0 + 2.0 * alpha
-    r = (s + l) * (l + 2) / ((l + 1) * (s + l + 1))
-    try:
-        u = math.exp(lnpoch(s, l + 1) - math.lgamma(l + 2))
-        delta = (c1 / u) * ((c1 - r * c0 * (c2 / c1)) / u) if c1 else -r * (c0 / u) * (c2 / u)
-    except OverflowError:
-        delta = math.inf
+    # Delta = t1 (t1 - t0 t2/t1) on the ratios t_k = C_k(x)/C_k(1): no square
+    # forms, so Delta overflows only when it leaves the double range itself,
+    # and at x = +-1, where every t_k is exactly +-1, it is exactly 0.
+    t0, t1, t2 = _gegenbauer_ratios(alpha, l + 2, x)[l:]
+    delta = t1 * (t1 - t0 * (t2 / t1)) if t1 else -t0 * t2
     if not math.isfinite(delta):
         raise ValueError(f"Turan determinant Delta_{l}({x}) is not finite for alpha = "
                          f"{alpha}: its terms overflow the double range")

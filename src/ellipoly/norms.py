@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import sys
 from dataclasses import dataclass
 
@@ -33,6 +34,7 @@ from .polynomials import (
     FamilyKind,
     PolynomialFamily,
     _gegenbauer_h,
+    _gegenbauer_ratios,
     _gegenbauer_rows,
     eval_terminating_2f1,
     family_matrix,
@@ -78,19 +80,21 @@ def _norm_ladder(family: PolynomialFamily, p: EllipseParams, nmax: int):
     """What _norm_entry reads for every degree up to nmax, from one pass.
 
     Gegenbauer: C_k^{(1+alpha)}(x_star) for k <= nmax.  P_n^{(alpha+1/2, -+1/2)}
-    under dB^-+ (normalized, a and c of the measure's own ellipse): rows
-    k <= 2 nmax + 1 of one C_k^{(1+alpha)}(a/c) ladder, and
-    log((1/2)_m / (1+alpha)_m) for m <= nmax + 1, summed term by term.  The
-    flat Chebyshev norms are powers of q = r/c and read no ladder.
+    under dB^-+ (normalized, a and c of the measure's own ellipse): the ratios
+    t_k = C_k^{(1+alpha)}(a/c)/C_k^{(1+alpha)}(1) for k <= 2 nmax + 1, and the
+    bounded products P_m = (1/2)_m (3/2+alpha)_m / ((1+alpha)_m m!) for
+    m <= nmax, which are C_{2m}(1) ((1/2)_m/(1+alpha)_m)^2 by duplication.
+    The flat Chebyshev norms are powers of R = r/c and read no ladder.
     """
     k = family.kind
     if k == FamilyKind.GEGENBAUER:
         return _gegenbauer_rows(family.alpha, nmax, p.x_star)
     if k == FamilyKind.JACOBI_HALF:
         al = family.alpha
-        log_ratio = list(itertools.accumulate(
-            (math.log((0.5 + m) / (al + 1.0 + m)) for m in range(nmax + 1)), initial=0.0))
-        return _gegenbauer_rows(al, 2 * nmax + 1, p.a / p.c), log_ratio
+        P = list(itertools.accumulate(
+            ((0.5 + m) * (1.5 + al + m) / ((1.0 + al + m) * (1.0 + m)) for m in range(nmax)),
+            operator.mul, initial=1.0))
+        return _gegenbauer_ratios(al, 2 * nmax + 1, p.a / p.c), P
     if k == FamilyKind.HERMITE:
         raise ValueError(f"{k.value} has no canonical planar weight")
     return None
@@ -104,12 +108,12 @@ def _norm_entry(family: PolynomialFamily, p: EllipseParams, n: int, ladder) -> f
     if k == FamilyKind.GEGENBAUER:
         return _gegenbauer_h(family.alpha, n, ladder[n])
     if k == FamilyKind.JACOBI_HALF:
-        al, (C, log_ratio) = family.alpha, ladder
+        al, (t, P) = family.alpha, ladder
         if family.sign == -1:
-            return math.exp(2.0 * log_ratio[n]) * (1.0 + al) / (1.0 + al + 2 * n) * C[2 * n]
+            return P[n] * (1.0 + al) / (1.0 + al + 2 * n) * t[2 * n]
         return (2.0 * p.c * (1.0 + al) * (2.0 + al) / (p.a * (2.0 + al + 2 * n))
-                * math.exp(2.0 * log_ratio[n + 1]) * C[2 * n + 1])
-    q = p.r / p.c
+                * P[n] * (n + 0.5) / (n + 1.0 + al) * t[2 * n + 1])
+    q = p.R
     try:
         if k == FamilyKind.CHEBYSHEV_T:
             if n == 0:

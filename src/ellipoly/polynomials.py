@@ -9,6 +9,7 @@ through the quadratic Joukowsky-type maps of the ellipse.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -151,6 +152,18 @@ def _gegenbauer_rows(alpha: float, nmax: int, z):
         lambda k, z, ck, cm: (2.0 * (k + 1 + alpha) * z * ck - (k + 1 + 2 * alpha) * cm) / (k + 1))
 
 
+def _gegenbauer_ratios(alpha: float, nmax: int, x: float) -> list[float]:
+    """t_k = C_k^{(1+alpha)}(x)/C_k^{(1+alpha)}(1), k = 0..nmax, at one real x:
+    t_0 = 1, t_1 = x and t_{k+1} = x t_k + (x t_k - t_{k-1}) k/(k+2+2alpha), the
+    Gegenbauer step over C_{k+1}(1), which is never formed.  |t_k| <= 1 on
+    [-1, 1] and exactly +-1 at x = +-1; the factor k/(k+2+2alpha) < 1 is formed
+    first, so no intermediate exceeds the next ratio."""
+    _check_alpha(alpha)
+    alpha = float(alpha)
+    return _forward(nmax, float(x), lambda x: x,
+                    lambda k, x, tk, tm: x * tk + (x * tk - tm) * (k / (k + 2.0 + 2.0 * alpha)))
+
+
 def gegenbauer_matrix(alpha: float, nmax: int, z) -> np.ndarray:
     """All Gegenbauer values C_k^{(1+alpha)}(z) for k = 0..nmax.
 
@@ -206,9 +219,22 @@ def family_matrix(family: PolynomialFamily, nmax: int, z) -> np.ndarray:
 
 
 def eval_family(family: PolynomialFamily, n: int, z):
-    """Evaluate the degree-n member of the family at z."""
-    val = _family_rows(family, n, z)[n]
-    return complex(val) if np.ndim(z) == 0 else val
+    """Evaluate the degree-n member of the family at z.
+
+    Raises ValueError when the value (any entry of it, for an array z) is not
+    finite, naming the first degree whose row leaves the double range."""
+    if isinstance(z, (float, complex, int)):   # a Python number steps without numpy
+        rows = _family_rows(family, n, z)
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):   # the ValueError says it
+            rows = _family_rows(family, n, z)
+    point = isinstance(rows, list)
+    finite = cmath.isfinite if point else lambda row: bool(np.isfinite(row).all())
+    if not finite(rows[n]):
+        first = next(k for k in range(n + 1) if not finite(rows[k]))
+        raise ValueError(f"{family.kind.value} value of degree {n} is not finite: its "
+                         f"recurrence leaves the double range from degree {first}")
+    return complex(rows[n]) if point else rows[n]
 
 
 def gegenbauer_coeffs(alpha: float, n: int) -> np.ndarray:

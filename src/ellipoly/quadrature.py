@@ -303,7 +303,7 @@ def contour_check(p: EllipseParams, n: int, m: int) -> complex:
 
 def _contour_closed(p: EllipseParams, n: int) -> complex:
     """The closed value of contour_check(p, n, n)."""
-    q = p.r / p.c
+    q = p.R
     return 1j * (math.pi * (n + 1) / 2.0 * (q ** (2 * n + 2) - q ** (-2 * n - 2)))
 
 

@@ -290,7 +290,7 @@ def test_turan_zeros_at_edges_and_nonzero_inside():
 def test_turan_raises_where_its_terms_overflow():
     """Delta_l(5/3) itself leaves the double range from l = 333 at alpha = 0:
     the determinant raises ValueError there, without numpy warnings, instead
-    of returning nan or letting math.exp's OverflowError through."""
+    of returning inf or nan."""
     assert math.isfinite(turan_determinant(0.0, 332, 5.0 / 3.0))
     for alpha, l, x in ((0.0, 333, 5.0 / 3.0), (0.0, 1000, 5.0 / 3.0)):
         with pytest.raises(ValueError, match=f"Delta_{l}.* is not finite"):
@@ -328,6 +328,28 @@ def test_turan_near_its_overflow_edge_matches_mpmath(l):
         t0, t1, t2 = (mp.gegenbauer(k, 1, x) / mp.gegenbauer(k, 1, 1) for k in (l, l + 1, l + 2))
         want = t1 * t1 - t0 * t2
     assert abs(turan_determinant(0.0, l, x) / want - 1) <= 1e-10
+
+
+@pytest.mark.parametrize("alpha, l, x, approx", [
+    (300.0, 1000, 1.05, -5.6218133e92),
+    (50.0, 600, 1.2, -7.0816791e236),
+    (4.0, 900, 1.02, -3.9704082e134),
+])
+def test_turan_beyond_the_interval_matches_mpmath(alpha, l, x, approx):
+    """For x > 1 the ratios C_k(x)/C_k(1) grow but C_k(1) itself is never
+    formed: at alpha = 300, l = 1000 it overflows, and Delta does not.  Delta
+    matches a 60-digit recurrence of the same ratios to 1e-14 of the size of
+    its two terms, t_{l+1}^2 + |t_l t_{l+2}|."""
+    with mp.workdps(60):
+        al, X = mp.mpf(alpha), mp.mpf(x)
+        t = [mp.mpf(1), X]
+        for k in range(1, l + 2):
+            t.append((2 * (k + 1 + al) * X * t[k] - k * t[k - 1]) / (k + 2 + 2 * al))
+        want = t[l + 1] ** 2 - t[l] * t[l + 2]
+        scale = t[l + 1] ** 2 + abs(t[l] * t[l + 2])
+        got = turan_determinant(alpha, l, x)
+        assert abs(got - want) <= 1e-14 * scale
+    assert got == pytest.approx(approx, rel=1e-7)
 
 
 def test_turan_where_the_middle_term_vanishes():

@@ -367,13 +367,29 @@ def test_one_point_norms_raise_from_the_first_overflowing_degree(a, b, first):
                 route(n)
 
 
-def _mp_norm(name, alpha, b, n):
-    """Closed norm on the ellipse (1, b) at 50 digits, by routes the library
+@pytest.mark.parametrize("name, alpha, n", [
+    ("jacobi_minus", 300.0, 179), ("jacobi_minus", 0.0, 639),
+    ("jacobi_minus", 0.0, 652), ("jacobi_minus", 300.0, 1027),
+    ("jacobi_plus", 300.0, 179), ("jacobi_plus", 0.0, 639),
+    ("jacobi_plus", 0.0, 651), ("jacobi_plus", 300.0, 1026),
+])
+def test_jacobi_half_norms_where_c_2n_overflows_match_mpmath(p21, name, alpha, n):
+    """The Jacobi half-family norms read the bounded ratios C_k(a/c)/C_k(1)
+    and a bounded Pochhammer product, never C_{2n}(a/c) itself: at p(2,1)
+    they are finite and accurate where C_{2n}(a/c) leaves the double range
+    (h_179 = 3.9e30 at alpha = 300, h_639 = 4.4e298 at alpha = 0), up to the
+    degree below their first raise."""
+    want = _mp_norm(name, alpha, 1.0, n, a=2.0)
+    assert abs(closed_norm(_MP_FAMILIES[name](alpha), p21, n) - want) <= 1e-12 * want
+
+
+def _mp_norm(name, alpha, b, n, a=1.0):
+    """Closed norm on the ellipse (a, b) at 50 digits, by routes the library
     does not take: Legendre and Jacobi values, and sinh forms of q-powers."""
     with mp.workdps(50):
-        b, al = mp.mpf(b), mp.mpf(alpha)
-        c = mp.sqrt(1 - b * b)
-        xs, y = (1 + b * b) / (c * c), 2 / (c * c) - 1   # x_star and 2 (a/c)^2 - 1
+        a, b, al = mp.mpf(a), mp.mpf(b), mp.mpf(alpha)
+        c = mp.sqrt(a * a - b * b)
+        xs, y = (a * a + b * b) / (c * c), 2 * a * a / (c * c) - 1   # x_star and 2 (a/c)^2 - 1
         if name == "gegenbauer":
             return (1 + al) / (1 + al + n) * mp.gegenbauer(n, 1 + al, xs)
         if name == "legendre":

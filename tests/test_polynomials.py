@@ -128,6 +128,18 @@ def test_eval_family_single_degree(complex_grid):
                                gegenbauer_matrix(0.3, 5, complex_grid)[5])
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("z", [0.3 + 0.2j, np.array([0.1, 0.3 + 0.2j])], ids=["point", "array"])
+def test_eval_family_raises_past_the_double_range(z):
+    """|C_2000^{(301)}(0.3+0.2i)| = 4.1e511 (mpmath): eval_family raises
+    ValueError naming the degree and the first row past the double range,
+    808, with no numpy warning, where it once returned nan+nanj.  One
+    degree below that row the value is finite."""
+    with pytest.raises(ValueError, match="degree 2000 is not finite.* from degree 808"):
+        eval_family(gegenbauer(300.0), 2000, z)
+    assert np.isfinite(eval_family(gegenbauer(300.0), 807, z)).all()
+
+
 ALL_FAMILIES = (gegenbauer(-0.9), gegenbauer(0.0), gegenbauer(2.5), legendre(),
                 chebyshev_t(), chebyshev_u(), chebyshev_v(), chebyshev_w(),
                 jacobi_half(0.3, 1), jacobi_half(-0.7, -1), hermite())
